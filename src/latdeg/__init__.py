@@ -3,10 +3,10 @@
 The degree of such an ideal equals the order of the torsion subgroup of
 Z^s modulo the defining lattice, i.e. the product of the invariant
 factors of any generator matrix.  This package computes that product
-with exact integer linear algebra and ships three independent
-brute-force oracles that confirm it at desk scale: coset counting by
-degree, point enumeration over prime fields, and spanning-tree
-enumeration for graph Laplacians.
+with exact integer linear algebra, without unimodular transforms, and
+ships three independent brute-force oracles that confirm it at desk
+scale: coset counting by degree, point enumeration over prime fields,
+and spanning-tree enumeration for graph Laplacians.
 """
 
 from .applications import (
@@ -53,10 +53,12 @@ from .intmat import (
     ZMatrix,
     determinant,
     format_matrix,
+    hermite_basis,
     hermite_normal_form,
     integer_kernel,
     mat_mul,
     parse_matrix,
+    smith_invariants,
     smith_normal_form,
 )
 from .lattices import HomogeneousLattice, TorsionStructure, lattice_from_generators
@@ -72,7 +74,9 @@ __all__ = [
     "mat_mul",
     "determinant",
     "smith_normal_form",
+    "smith_invariants",
     "hermite_normal_form",
+    "hermite_basis",
     "integer_kernel",
     "parse_matrix",
     "format_matrix",

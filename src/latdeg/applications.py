@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .errors import BudgetExceeded, Disconnected, FormatError, NonPrimeField
+from .errors import BudgetExceeded, Disconnected, DomainError, FormatError, NonPrimeField
 from .intmat import ZMatrix, _content_lines, determinant, integer_kernel
 from .lattices import HomogeneousLattice
 
@@ -45,18 +45,38 @@ POINT_BUDGET = 1_000_000
 MAX_TREE_EDGES = 24
 
 
+# Miller-Rabin with the first 12 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)); larger inputs are refused
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test, exact for n < ``_MR_EXACT_BELOW``."""
+    if n >= _MR_EXACT_BELOW:
+        raise DomainError(
+            f"primality of {n} is not certified: the deterministic test is exact "
+            f"only below {_MR_EXACT_BELOW}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -357,7 +377,10 @@ def parse_toric_spec(text: str) -> ToricSetSpec:
             vectors.append(tuple(int(p) for p in parts))
         except ValueError:
             raise FormatError(f"exponent row {k + 1} contains a non-integer: {line!r}") from None
-    return ToricSetSpec(q=q, exponents=tuple(vectors))
+    try:
+        return ToricSetSpec(q=q, exponents=tuple(vectors))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def parse_graph(text: str) -> GraphSpec:

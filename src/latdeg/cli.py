@@ -91,7 +91,7 @@ def lattice_summary(lattice: HomogeneousLattice) -> dict:
     return {
         "ambient_dim": lattice.ambient_dim,
         "rank": lattice.rank,
-        "invariant_factors": [str(f) for f in lattice.decomposition.invariant_factors],
+        "invariant_factors": [str(f) for f in lattice.invariant_factors],
         "torsion_order": str(torsion.order),
         "degree": str(lattice.degree()) if corank_one else None,
         "regularity_upper_bound": lattice.regularity_upper_bound() if corank_one else None,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, NotStabilized
+from .errors import BudgetExceeded, DomainError, NotStabilized
 from .lattices import HomogeneousLattice
 
 __all__ = [
@@ -205,7 +205,9 @@ def hilbert_profile(
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
     s = lattice.ambient_dim
     if s < 1:
-        raise ValueError("lattice must live in Z^s with s >= 1")
+        raise DomainError(
+            "ambient dimension is 0; coset counting needs a lattice in Z^s with s >= 1"
+        )
     needed = comb(d_max + s - 1, s - 1)
     if needed > budget:
         raise BudgetExceeded(needed, budget, what="estimated monomial count")

@@ -1,9 +1,10 @@
 """Exact integer matrix algebra.
 
 Everything here runs over Python's unbounded integers: Smith and Hermite
-normal forms with unimodular transform tracking, fraction-free
-determinants, and integer kernels.  No floating point, no fixed-width
-arithmetic anywhere.
+normal forms with unimodular transform tracking, the same eliminations
+without transforms (invariant factors and Hermite bases only),
+fraction-free determinants, and integer kernels.  No floating point, no
+fixed-width arithmetic anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ __all__ = [
     "mat_mul",
     "determinant",
     "smith_normal_form",
+    "smith_invariants",
     "hermite_normal_form",
+    "hermite_basis",
     "integer_kernel",
     "parse_matrix",
     "format_matrix",
@@ -192,48 +195,55 @@ def determinant(a: ZMatrix) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
+def _smith_elimination(a: ZMatrix, track: bool):
+    """The Smith elimination loop shared by both Smith entry points.
 
-    Classical elimination: repeatedly move the entry of minimal absolute
-    value in the working block to the pivot position, clear its row and
-    column with integer row/column operations, and fold any block entry
-    the pivot does not divide back into the pivot row so the diagonal
-    comes out as a divisibility chain.  Invariant factors are normalized
-    positive.  Deterministic for a given input.
+    Returns the invariant factors, the diagonalized working matrix and,
+    when ``track`` is set, the row and column transforms (else None for
+    both).  Once pivot t
+    is being worked on, rows and columns before t are zero outside the
+    diagonal, so row operations touch only columns >= t and column
+    operations only rows >= t.
     """
     m, s = a.rows, a.cols
     d = a.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(s)] for i in range(s)]
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
+    v = [[int(i == j) for j in range(s)] for i in range(s)] if track else None
+    t = 0
 
     def swap_rows(i, j):
         if i != j:
             d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
+            if track:
+                u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
-            for row in d:
+            for k in range(t, m):
+                row = d[k]
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            if track:
+                for row in v:
+                    row[i], row[j] = row[j], row[i]
 
     def row_sub(i, j, q):  # row i -= q * row j
         di, dj = d[i], d[j]
-        for k in range(s):
+        for k in range(t, s):
             di[k] -= q * dj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            ui[k] -= q * uj[k]
+        if track:
+            ui, uj = u[i], u[j]
+            for k in range(m):
+                ui[k] -= q * uj[k]
 
     def col_sub(j, k, q):  # col j -= q * col k
-        for row in d:
+        for i in range(t, m):
+            row = d[i]
             row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
+        if track:
+            for row in v:
+                row[j] -= q * row[k]
 
-    def min_pivot(t):
+    def min_pivot():
         best = None
         for i in range(t, m):
             row = d[i]
@@ -246,9 +256,8 @@ def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
         return best
 
     limit = min(m, s)
-    t = 0
     while t < limit:
-        best = min_pivot(t)
+        best = min_pivot()
         if best is None:
             break
         swap_rows(t, best[1])
@@ -272,7 +281,7 @@ def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
                         dirty = True
             if dirty:
                 # a remainder smaller than the pivot appeared; re-pivot on it
-                best = min_pivot(t)
+                best = min_pivot()
                 swap_rows(t, best[1])
                 swap_cols(t, best[2])
                 continue
@@ -291,49 +300,78 @@ def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
             # pull the non-multiple into the pivot row; the next sweep
             # replaces the pivot by a proper divisor of itself
             drow, dstray = d[t], d[stray]
-            for k in range(s):
+            for k in range(t, s):
                 drow[k] += dstray[k]
-            urow, ustray = u[t], u[stray]
-            for k in range(m):
-                urow[k] += ustray[k]
+            if track:
+                urow, ustray = u[t], u[stray]
+                for k in range(m):
+                    urow[k] += ustray[k]
         if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
+            d[t][t] = -d[t][t]  # the rest of row t is already zero
+            if track:
+                u[t] = [-x for x in u[t]]
         t += 1
-
     factors = tuple(d[i][i] for i in range(limit) if d[i][i])
+    return factors, d, u, v
+
+
+def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
+    """Smith normal form with transforms.
+
+    Classical elimination: repeatedly move the entry of minimal absolute
+    value in the working block to the pivot position, clear its row and
+    column with integer row/column operations, and fold any block entry
+    the pivot does not divide back into the pivot row so the diagonal
+    comes out as a divisibility chain.  Invariant factors are normalized
+    positive.  Deterministic for a given input.
+    """
+    factors, d, u, v = _smith_elimination(a, track=True)
     return SmithDecomposition(
-        u=ZMatrix.from_rows(u, cols=m),
-        d=ZMatrix.from_rows(d, cols=s),
-        v=ZMatrix.from_rows(v, cols=s),
+        u=ZMatrix.from_rows(u, cols=a.rows),
+        d=ZMatrix.from_rows(d, cols=a.cols),
+        v=ZMatrix.from_rows(v, cols=a.cols),
         invariant_factors=factors,
         rank=len(factors),
     )
 
 
-def hermite_normal_form(a: ZMatrix) -> HermiteForm:
-    """Hermite normal form (row-style upper echelon) with transform.
+def smith_invariants(a: ZMatrix) -> tuple[int, ...]:
+    """The invariant factors of ``a``, without the unimodular transforms.
 
-    Only unimodular row operations are used, so the nonzero rows of the
-    result are a basis of the row lattice of ``a`` and the returned
-    canonical form is unique for a given row lattice.
+    Runs the elimination of :func:`smith_normal_form` and returns the
+    same ``invariant_factors``; skipping the transforms avoids their
+    coefficient swell, which dwarfs the entries of the diagonal form.
+    """
+    return _smith_elimination(a, track=False)[0]
+
+
+def _hermite_elimination(a: ZMatrix, track: bool):
+    """The Hermite elimination loop shared by both Hermite entry points.
+
+    Returns the echelon working matrix, the row transform when ``track``
+    is set (else None), and the rank.  While column j is being worked
+    on, the rows at and below the current pivot row are zero before
+    column j; row operations only subtract multiples of those rows, so
+    they touch only columns >= j.
     """
     m, s = a.rows, a.cols
     h = a.to_rows()
-    t = [[int(i == j) for j in range(m)] for i in range(m)]
+    t = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
 
-    def swap(i, j):
-        if i != j:
-            h[i], h[j] = h[j], h[i]
-            t[i], t[j] = t[j], t[i]
+    def swap(i, k):
+        if i != k:
+            h[i], h[k] = h[k], h[i]
+            if track:
+                t[i], t[k] = t[k], t[i]
 
-    def row_sub(i, j, q):
-        hi, hj = h[i], h[j]
-        for k in range(s):
-            hi[k] -= q * hj[k]
-        ti, tj = t[i], t[j]
-        for k in range(m):
-            ti[k] -= q * tj[k]
+    def row_sub(i, k, q):  # row i -= q * row k
+        hi, hk = h[i], h[k]
+        for c in range(j, s):
+            hi[c] -= q * hk[c]
+        if track:
+            ti, tk = t[i], t[k]
+            for c in range(m):
+                ti[c] -= q * tk[c]
 
     r = 0
     for j in range(s):
@@ -363,19 +401,41 @@ def hermite_normal_form(a: ZMatrix) -> HermiteForm:
             continue
         if h[r][j] < 0:
             h[r] = [-x for x in h[r]]
-            t[r] = [-x for x in t[r]]
+            if track:
+                t[r] = [-x for x in t[r]]
         pivot = h[r][j]
         for i in range(r):
             q = h[i][j] // pivot  # floor puts the entry into [0, pivot)
             if q:
                 row_sub(i, r, q)
         r += 1
+    return h, t, r
 
+
+def hermite_normal_form(a: ZMatrix) -> HermiteForm:
+    """Hermite normal form (row-style upper echelon) with transform.
+
+    Only unimodular row operations are used, so the nonzero rows of the
+    result are a basis of the row lattice of ``a`` and the returned
+    canonical form is unique for a given row lattice.
+    """
+    h, t, r = _hermite_elimination(a, track=True)
     return HermiteForm(
-        h=ZMatrix.from_rows(h, cols=s),
-        transform=ZMatrix.from_rows(t, cols=m),
+        h=ZMatrix.from_rows(h, cols=a.cols),
+        transform=ZMatrix.from_rows(t, cols=a.rows),
         rank=r,
     )
+
+
+def hermite_basis(a: ZMatrix) -> ZMatrix:
+    """The nonzero rows of the Hermite normal form of ``a``, without transform.
+
+    Runs the elimination of :func:`hermite_normal_form`; the result is
+    the canonical echelon basis of the row lattice of ``a``, one row per
+    unit of rank.
+    """
+    h, _t, r = _hermite_elimination(a, track=False)
+    return ZMatrix.from_rows(h[:r], cols=a.cols)
 
 
 def integer_kernel(a: ZMatrix) -> ZMatrix:
@@ -390,8 +450,7 @@ def integer_kernel(a: ZMatrix) -> ZMatrix:
     raw = [hf.transform.row(i) for i in range(hf.rank, a.rows)]
     if not raw:
         return ZMatrix(0, a.rows, ())
-    canon = hermite_normal_form(ZMatrix.from_rows(raw, cols=a.rows))
-    return ZMatrix.from_rows([canon.h.row(i) for i in range(canon.rank)], cols=a.rows)
+    return hermite_basis(ZMatrix.from_rows(raw, cols=a.rows))
 
 
 def _content_lines(text: str) -> list[str]:

@@ -1,22 +1,34 @@
 """Homogeneous integer lattices and the quotient-group data derived from them.
 
 A lattice here is the integer row span of a generator matrix in which
-every row has coordinate sum zero.  The cached Smith decomposition of
-the generators answers membership and element-order queries and yields
-the torsion structure of the quotient group; for lattices of rank one
-less than the ambient dimension it also gives the degree (the torsion
-order), a simplex-volume reading of the same number, and an upper bound
-for where the associated counting function goes constant.
+every row has coordinate sum zero.  The degree path is transform-free:
+the invariant factors of the generators (a Smith elimination without
+unimodular transforms) give the rank and the torsion structure of the
+quotient group, and for lattices of rank one less than the ambient
+dimension the degree (the torsion order).  An independent Hermite
+elimination, also without transform, gives the echelon basis that
+answers membership and element-order queries by integer reduction,
+the simplex-volume reading of the degree (its Bareiss determinant),
+and an upper bound for where the associated counting function goes
+constant.  The Smith decomposition with transforms, needed only for
+Smith coordinates and coset labels, is computed on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotHomogeneous, RankMismatch
-from .intmat import ZMatrix, determinant, hermite_normal_form, smith_normal_form
+from .errors import DimensionMismatch, DomainError, NotHomogeneous, RankMismatch
+from .intmat import (
+    SmithDecomposition,
+    ZMatrix,
+    determinant,
+    hermite_basis,
+    smith_invariants,
+    smith_normal_form,
+)
 
 __all__ = ["HomogeneousLattice", "TorsionStructure", "lattice_from_generators"]
 
@@ -40,12 +52,20 @@ class HomogeneousLattice:
     """Integer lattice in Z^s all of whose members have zero coordinate sum.
 
     Construction verifies homogeneity of every generator row (row sums
-    are linear, so this covers the whole lattice) and eagerly computes
-    the Smith decomposition of the generator matrix.  Instances are
-    immutable and safe to share across threads.
+    are linear, so this covers the whole lattice) and runs two
+    transform-free eliminations of the generator matrix: the Smith
+    elimination for ``invariant_factors`` (rank, degree, torsion) and
+    the Hermite elimination for ``basis``, the echelon basis that
+    answers membership and element-order queries with integer reduction
+    and gives the normalized volume.  Degree and volume therefore come
+    from independent eliminations.  The Smith decomposition with
+    transforms is computed on first access to :attr:`decomposition`.
+    Instances are immutable (the cache is idempotent) and safe to share
+    across threads.
     """
 
-    __slots__ = ("generators", "ambient_dim", "decomposition", "rank")
+    __slots__ = ("generators", "ambient_dim", "rank", "invariant_factors", "basis",
+                 "_pivots", "_decomposition")
 
     def __init__(self, generators: ZMatrix):
         for i in range(generators.rows):
@@ -54,8 +74,13 @@ class HomogeneousLattice:
                 raise NotHomogeneous(i, total)
         self.generators = generators
         self.ambient_dim = generators.cols
-        self.decomposition = smith_normal_form(generators)
-        self.rank = self.decomposition.rank
+        self.invariant_factors = smith_invariants(generators)
+        self.rank = len(self.invariant_factors)
+        self.basis = hermite_basis(generators)
+        self._pivots = tuple(
+            next(j for j, x in enumerate(self.basis.row(i)) if x) for i in range(self.basis.rows)
+        )
+        self._decomposition = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ambient_dim: int | None = None):
@@ -67,6 +92,13 @@ class HomogeneousLattice:
             f"generators={self.generators.to_rows()!r})"
         )
 
+    @property
+    def decomposition(self) -> SmithDecomposition:
+        """Smith decomposition of the generators, with transforms, computed on first use."""
+        if self._decomposition is None:
+            self._decomposition = smith_normal_form(self.generators)
+        return self._decomposition
+
     def smith_coordinates(self, v: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of ``v`` after the column transform of the decomposition.
 
@@ -74,41 +106,47 @@ class HomogeneousLattice:
         whose first ``rank`` transformed coordinates are divisible by the
         matching invariant factors and whose remaining coordinates vanish.
         """
+        w = self._vector(v)
+        vmat = self.decomposition.v
+        cols = [vmat.column(j) for j in range(self.ambient_dim)]
+        return tuple(sum(x * c for x, c in zip(w, col)) for col in cols)
+
+    def _vector(self, v: Sequence[int]) -> list[int]:
         s = self.ambient_dim
         if len(v) != s:
             raise DimensionMismatch(f"vector has length {len(v)}, expected {s}")
-        vmat = self.decomposition.v
-        cols = [vmat.column(j) for j in range(s)]
-        return tuple(sum(int(v[i]) * col[i] for i in range(s)) for col in cols)
+        return [int(x) for x in v]
 
     def contains(self, v: Sequence[int]) -> bool:
         """True iff ``v`` lies in the integer row span of the generators."""
-        w = self.smith_coordinates(v)
-        factors = self.decomposition.invariant_factors
-        r = self.rank
-        if any(w[i] % factors[i] for i in range(r)):
-            return False
-        return not any(w[i] for i in range(r, self.ambient_dim))
+        return self.element_order(v) == 1
 
     def element_order(self, v: Sequence[int]) -> int | None:
         """Smallest n >= 1 with n*v in the lattice, or None if no multiple is.
 
-        Finite exactly when ``v`` lies in the rational span of the
-        lattice; the order is then lcm over i of d_i / gcd(d_i, w_i) in
-        Smith coordinates.
+        Reduces ``v`` by the echelon basis, pivot by pivot, first scaling
+        the residual by h / gcd(w_p, h) wherever pivot h does not
+        divide its coordinate w_p; the product of the scalings is the lcm
+        of the denominators of ``v``'s coordinates in the basis.  A
+        residual left at the end means ``v`` is outside the rational span.
         """
-        w = self.smith_coordinates(v)
-        factors = self.decomposition.invariant_factors
-        r = self.rank
-        if any(w[i] for i in range(r, self.ambient_dim)):
-            return None
+        w = self._vector(v)
         n = 1
-        for i in range(r):
-            n = lcm(n, factors[i] // gcd(factors[i], w[i]))
-        return n
+        for i, p in enumerate(self._pivots):
+            h = self.basis[i, p]
+            scale = h // gcd(w[p], h)
+            if scale > 1:
+                n *= scale
+                w = [scale * x for x in w]
+            q = w[p] // h
+            if q:
+                row = self.basis.row(i)
+                for k in range(p, self.ambient_dim):
+                    w[k] -= q * row[k]
+        return None if any(w) else n
 
     def torsion_structure(self) -> TorsionStructure:
-        factors = self.decomposition.invariant_factors
+        factors = self.invariant_factors
         return TorsionStructure(
             cyclic_factors=tuple(f for f in factors if f > 1),
             order=prod(factors),
@@ -116,9 +154,13 @@ class HomogeneousLattice:
         )
 
     def is_torsion_free(self) -> bool:
-        return all(f == 1 for f in self.decomposition.invariant_factors)
+        return all(f == 1 for f in self.invariant_factors)
 
     def _require_corank_one(self) -> None:
+        if self.ambient_dim == 0:
+            raise DomainError(
+                "ambient dimension is 0; the degree needs a lattice in Z^s with s >= 1"
+            )
         expected = self.ambient_dim - 1
         if self.rank != expected:
             raise RankMismatch(expected=expected, got=self.rank)
@@ -132,7 +174,7 @@ class HomogeneousLattice:
         returning a misleading number.
         """
         self._require_corank_one()
-        return prod(self.decomposition.invariant_factors)
+        return prod(self.invariant_factors)
 
     def regularity_upper_bound(self) -> int:
         """A degree B from which the coset-counting function is constant.
@@ -156,15 +198,14 @@ class HomogeneousLattice:
     def normalized_volume(self) -> int:
         """(s-1)! times the relative volume of the basis simplex.
 
-        Extracts a basis (nonzero Hermite-form rows of the generators),
-        expresses each basis vector in the coordinates e_i - e_s (its
-        first s-1 entries, valid because rows sum to zero), and returns
-        the absolute determinant.  Equals :meth:`degree`; the two values
-        travel through independent eliminations.
+        Expresses each row of the Hermite basis in the coordinates
+        e_i - e_s (its first s-1 entries, valid because rows sum to
+        zero) and returns the absolute Bareiss determinant.  Equals
+        :meth:`degree`; the two values travel through independent
+        eliminations.
         """
         self._require_corank_one()
-        hf = hermite_normal_form(self.generators)
-        basis = [list(hf.h.row(i))[:-1] for i in range(hf.rank)]
+        basis = [self.basis.row(i)[:-1] for i in range(self.basis.rows)]
         return abs(determinant(ZMatrix.from_rows(basis, cols=self.ambient_dim - 1)))
 
 

@@ -7,6 +7,7 @@ from conftest import random_connected_graph, random_toric_spec
 from latdeg import (
     BudgetExceeded,
     Disconnected,
+    DomainError,
     GraphSpec,
     NonPrimeField,
     ToricSetSpec,
@@ -22,6 +23,7 @@ from latdeg import (
     reduced_laplacian,
     spanning_tree_count,
 )
+from latdeg.applications import _is_prime
 from latdeg.errors import FormatError
 
 K4 = GraphSpec(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -233,6 +235,8 @@ def test_parse_toric_spec():
         parse_toric_spec("3 1 2\n1\n")
     with pytest.raises(FormatError):
         parse_toric_spec("3 1 2\n1 2\n3\n")
+    with pytest.raises(FormatError, match="nonnegative"):
+        parse_toric_spec("3 1 2\n1\n-2\n")
 
 
 def test_parse_graph():
@@ -247,3 +251,25 @@ def test_parse_graph():
         parse_graph("3\n1 1\n")  # self-loop surfaces as a format problem
     with pytest.raises(Disconnected):
         parse_graph("4\n1 2\n3 4\n")
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_large_and_pseudoprime_cases():
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(561)  # Carmichael number
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert not _is_prime((10**9 + 7) * (10**9 + 9))
+    assert _is_prime(10**18 + 3)
+    with pytest.raises(DomainError, match="not certified"):
+        _is_prime(318_665_857_834_031_151_167_461)
+    with pytest.raises(DomainError):
+        ToricSetSpec(q=10**24 + 7, exponents=((1,),))

@@ -242,3 +242,19 @@ def test_bad_flag_values_exit_2(write, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", path, "--max-degree", "-3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["degree", "verify", "hilbert"])
+def test_zero_ambient_dimension_is_domain_error(write, capsys, command):
+    code, out, err = run(capsys, command, write("empty.mat", "0 0\n"))
+    assert code == 1
+    assert out == ""
+    assert "DomainError: ambient dimension is 0" in err
+    assert "rank -1" not in err
+
+
+def test_toric_negative_exponent_exits_2(write, capsys):
+    code, out, err = run(capsys, "toric", write("neg.exp", "3 1 2\n1\n-2\n"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: exponents must be nonnegative\n"

@@ -1,0 +1,117 @@
+"""Differential property tests: transform-free routes against transform-tracking ones.
+
+The lattice answers membership and element-order queries by reducing
+against its Hermite basis; the reference here is the Smith-coordinate
+formula read off the Smith decomposition of the generators.
+"""
+
+from math import gcd, lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import minors_invariant_factors
+from latdeg import (
+    HomogeneousLattice,
+    ZMatrix,
+    hermite_basis,
+    hermite_normal_form,
+    smith_invariants,
+    smith_normal_form,
+)
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def small_matrices(draw, max_dim=4, bound=9):
+    m = draw(st.integers(0, max_dim))
+    s = draw(st.integers(0, max_dim))
+    entry = st.integers(-bound, bound)
+    rows = [draw(st.lists(entry, min_size=s, max_size=s)) for _ in range(m)]
+    return ZMatrix.from_rows(rows, cols=s)
+
+
+@st.composite
+def lattices_with_vectors(draw):
+    """A homogeneous lattice in Z^s (1 <= s <= 5) of any rank, and query vectors.
+
+    Rows are drawn as s-1 free entries plus the balancing last one, and
+    zero rows are mixed in, so every rank from 0 to s-1 occurs.  The
+    queries are arbitrary vectors, coordinate-sum-zero vectors, lattice
+    members and their quotients by small integers where those are whole.
+    """
+    s = draw(st.integers(1, 5))
+    m = draw(st.integers(0, s + 1))
+    rows = []
+    for _ in range(m):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append([0] * s)
+        else:
+            head = draw(st.lists(st.integers(-6, 6), min_size=s - 1, max_size=s - 1))
+            rows.append(head + [-sum(head)])
+    lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
+    coordinate = st.integers(-8, 8)
+    vectors = draw(st.lists(st.lists(coordinate, min_size=s, max_size=s), max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        head = draw(st.lists(coordinate, min_size=s - 1, max_size=s - 1))
+        vectors.append(head + [-sum(head)])
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        member = [sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(s)]
+        vectors.append(member)
+        k = draw(st.integers(2, 6))
+        if all(x % k == 0 for x in member):
+            vectors.append([x // k for x in member])
+    return lattice, vectors
+
+
+def smith_reference(lattice, v):
+    """(contains, element_order) from the Smith coordinates of ``v``."""
+    dec = lattice.decomposition
+    w = lattice.smith_coordinates(v)
+    factors, r = dec.invariant_factors, dec.rank
+    if any(w[r:]):
+        return False, None
+    contains = all(w[i] % factors[i] == 0 for i in range(r))
+    order = 1
+    for i in range(r):
+        order = lcm(order, factors[i] // gcd(factors[i], w[i]))
+    return contains, order
+
+
+@SETTINGS
+@given(small_matrices())
+def test_smith_invariants_match_tracked_form_and_minors(a):
+    factors = smith_invariants(a)
+    assert factors == smith_normal_form(a).invariant_factors
+    assert list(factors) == minors_invariant_factors(a)
+
+
+@SETTINGS
+@given(small_matrices(max_dim=5, bound=30))
+def test_hermite_basis_is_the_nonzero_hermite_rows(a):
+    hf = hermite_normal_form(a)
+    expected = ZMatrix.from_rows([hf.h.row(i) for i in range(hf.rank)], cols=a.cols)
+    assert hermite_basis(a) == expected
+
+
+@SETTINGS
+@given(lattices_with_vectors())
+def test_queries_match_smith_coordinates(case):
+    lattice, vectors = case
+    assert lattice.rank == lattice.basis.rows
+    for v in vectors:
+        contains, order = smith_reference(lattice, v)
+        assert lattice.contains(v) == contains
+        assert lattice.element_order(v) == order
+
+
+@SETTINGS
+@given(lattices_with_vectors())
+def test_lazy_decomposition_matches_smith_normal_form(case):
+    lattice, _vectors = case
+    assert lattice.invariant_factors == smith_normal_form(lattice.generators).invariant_factors
+    first = lattice.decomposition
+    assert first == smith_normal_form(lattice.generators)
+    assert lattice.decomposition is first
