@@ -12,7 +12,6 @@ its own elementary counting oracle:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
 from typing import Sequence
@@ -148,9 +147,7 @@ def _point(spec: ToricSetSpec, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(c * inv % q for c in coords)
 
 
-def enumerate_toric_set(
-    spec: ToricSetSpec, budget: int = POINT_BUDGET, workers: int = 1
-) -> set[tuple[int, ...]]:
+def enumerate_toric_set(spec: ToricSetSpec, budget: int = POINT_BUDGET) -> set[tuple[int, ...]]:
     """All distinct points of the set, normalized to first coordinate 1.
 
     Iterates the full parameter grid of size (q-1)^n, which must fit in
@@ -161,25 +158,7 @@ def enumerate_toric_set(
     needed = (q - 1) ** n
     if needed > budget:
         raise BudgetExceeded(needed, budget, what="parameter grid size")
-    units = range(1, q)
-    if workers <= 1:
-        return {_point(spec, x) for x in itertools.product(units, repeat=n)}
-    # chunk the grid by first parameter; union of chunks == sequential set
-    chunks = [list(units)[w::workers] for w in range(workers)]
-
-    def run(first_values):
-        return {
-            _point(spec, (x1, *rest))
-            for x1 in first_values
-            for rest in itertools.product(units, repeat=n - 1)
-        }
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, chunks))
-    merged: set[tuple[int, ...]] = set()
-    for part in parts:
-        merged |= part
-    return merged
+    return {_point(spec, x) for x in itertools.product(range(1, q), repeat=n)}
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,12 @@ def lattice_summary(lattice: HomogeneousLattice) -> dict:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
 
 
 def _read_lattice(path: str) -> HomogeneousLattice:

@@ -12,10 +12,9 @@ then recover the degree without any reference to normal forms.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DomainError, NotStabilized
 from .lattices import HomogeneousLattice
@@ -123,14 +122,12 @@ def _label_data(lattice: HomogeneousLattice):
     return rows, mods
 
 
-def _degree_labels(rows, mods, s: int, d: int, top_values: Iterable[int] | None = None) -> set:
-    """Labels of all exponent vectors of total degree d.
+def _count_degree(rows, mods, s: int, d: int) -> int:
+    """Number of distinct labels of the exponent vectors of total degree d.
 
     Enumeration is depth-first over coordinates s-1, s-2, ..., 0 with the
     last coordinate's count chosen first (colex over the vectors); the
-    running label is updated incrementally.  ``top_values`` restricts the
-    count assigned to coordinate s-1, which is the deterministic chunking
-    used for parallel runs.
+    running label is updated incrementally.
     """
     width = len(mods)
     labels: set = set()
@@ -157,49 +154,20 @@ def _degree_labels(rows, mods, s: int, d: int, top_values: Iterable[int] | None 
                 m = mods[k]
                 ww[k] = (ww[k] + row[k]) % m if m else ww[k] + row[k]
 
-    zero = [0] * width
-    if s == 1:
-        if top_values is None or d in top_values:
-            leaf(zero, d)
-        return labels
-    tops = range(d + 1) if top_values is None else top_values
-    top_row = rows[s - 1]
-    for k in tops:
-        if not 0 <= k <= d:
-            continue
-        w = [
-            (k * top_row[j]) % mods[j] if mods[j] else k * top_row[j]
-            for j in range(width)
-        ]
-        rec(s - 2, d - k, w)
-    return labels
-
-
-def _count_degree(rows, mods, s: int, d: int, workers: int) -> int:
-    if workers <= 1:
-        return len(_degree_labels(rows, mods, s, d))
-    chunks = [range(w, d + 1, workers) for w in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda ks: _degree_labels(rows, mods, s, d, ks), chunks))
-    merged: set = set()
-    for part in parts:
-        merged |= part
-    return len(merged)
+    rec(s - 1, d, [0] * width)
+    return len(labels)
 
 
 def hilbert_profile(
     lattice: HomogeneousLattice,
     d_max: int,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> HilbertProfile:
     """Coset counts for every degree 0..d_max.
 
     The work is proportional to the number of exponent vectors touched;
     C(d_max + s - 1, s - 1) estimates the largest layer and must stay
-    within ``budget``.  Partitioning across ``workers`` threads is by
-    deterministic chunks whose union reproduces the sequential set
-    exactly.
+    within ``budget``.
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
@@ -212,9 +180,7 @@ def hilbert_profile(
     if needed > budget:
         raise BudgetExceeded(needed, budget, what="estimated monomial count")
     rows, mods = _label_data(lattice)
-    values = tuple(
-        _count_degree(rows, mods, s, d, workers) for d in range(d_max + 1)
-    )
+    values = tuple(_count_degree(rows, mods, s, d) for d in range(d_max + 1))
     return _make_profile(values, window=max(3, s))
 
 
@@ -236,11 +202,7 @@ class DegreeCheck:
     agree: bool
 
 
-def verify_degree(
-    lattice: HomogeneousLattice,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> DegreeCheck:
+def verify_degree(lattice: HomogeneousLattice, budget: int = DEFAULT_BUDGET) -> DegreeCheck:
     """Run the coset counter far enough to certify the degree and compare.
 
     Requires rank s-1.  The counter runs to the proven constancy bound
@@ -249,9 +211,7 @@ def verify_degree(
     """
     snf_deg = lattice.degree()
     bound = lattice.regularity_upper_bound()
-    profile = hilbert_profile(
-        lattice, bound + lattice.ambient_dim, budget=budget, workers=workers
-    )
+    profile = hilbert_profile(lattice, bound + lattice.ambient_dim, budget=budget)
     found = oracle_degree(profile)
     return DegreeCheck(
         snf_degree=snf_deg,

@@ -5,11 +5,18 @@ normal forms with unimodular transform tracking, the same eliminations
 without transforms (invariant factors and Hermite bases only),
 fraction-free determinants, and integer kernels.  No floating point, no
 fixed-width arithmetic anywhere.
+
+The invariant factors alone are computed modulo D, the gcd of the r x r
+minors (r the rank) that one Bareiss pass already produces; that pass
+is shared with the determinant.  Every one of the first r invariant
+factors divides D, so reducing mod D loses none of them, and entries
+stay below D instead of swelling.  Hermite forms are always exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FormatError, NonSquare
@@ -165,48 +172,80 @@ def mat_mul(a: ZMatrix, b: ZMatrix) -> ZMatrix:
     return ZMatrix(a.rows, bc, out)
 
 
+def _fraction_free(a: ZMatrix) -> tuple[int, int, tuple[int, ...]]:
+    """One Bareiss fraction-free elimination pass over the rows of ``a``.
+
+    Columns without a pivot are skipped, so any shape works.  Returns
+    the rank r, the last pivot with the sign of the row swaps (for a
+    nonsingular square matrix, its determinant; 1 when r = 0), and the
+    entries of the pivot row and the pivot column at the r-th step.  By
+    Sylvester's identity each of those is an r x r minor of ``a``.
+    """
+    m, n = a.rows, a.cols
+    mat = a.to_rows()
+    sign = 1
+    prev = 1
+    k = 0
+    pivot_col: list[int] = []
+    last = 0
+    for j in range(n):
+        if k == m:
+            break
+        swap = next((i for i in range(k, m) if mat[i][j]), None)
+        if swap is None:
+            continue
+        if swap != k:
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        row_k = mat[k]
+        pivot = row_k[j]
+        pivot_col = [mat[i][j] for i in range(k, m)]
+        for i in range(k + 1, m):
+            row_i = mat[i]
+            factor = row_i[j]
+            # Bareiss: these divisions are always exact; a zero factor
+            # leaves x * pivot // prev, the identity when pivot == prev
+            if factor:
+                for c in range(j + 1, n):
+                    row_i[c] = (row_i[c] * pivot - factor * row_k[c]) // prev
+                row_i[j] = 0
+            elif pivot != prev:
+                for c in range(j + 1, n):
+                    row_i[c] = row_i[c] * pivot // prev
+        prev = pivot
+        last = j
+        k += 1
+    minors = tuple(mat[k - 1][last:]) + tuple(pivot_col[1:]) if k else ()
+    return k, sign * prev, minors
+
+
 def determinant(a: ZMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     if a.rows != a.cols:
         raise NonSquare(a.rows, a.cols)
-    n = a.rows
-    if n == 0:
-        return 1
-    mat = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            row_i = mat[i]
-            row_k = mat[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                # Bareiss: this division is always exact
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * mat[n - 1][n - 1]
+    rank, signed_pivot, _minors = _fraction_free(a)
+    return signed_pivot if rank == a.rows else 0
 
 
-def _smith_elimination(a: ZMatrix, track: bool):
+def _smith_elimination(a: ZMatrix, track: bool, modulus: int = 0):
     """The Smith elimination loop shared by both Smith entry points.
 
     Returns the invariant factors, the diagonalized working matrix and,
     when ``track`` is set, the row and column transforms (else None for
-    both).  Once pivot t
-    is being worked on, rows and columns before t are zero outside the
-    diagonal, so row operations touch only columns >= t and column
-    operations only rows >= t.
+    both).  Once pivot t is being worked on, rows and columns before t
+    are zero outside the diagonal, so row operations touch only columns
+    >= t and column operations only rows >= t.
+
+    With a positive ``modulus`` D every entry is kept reduced mod D, so
+    the loop eliminates the lattice spanned by the rows of ``a`` and
+    D*Z^n, and the factors are gcd(diagonal entry, D) for each of the
+    min(m, n) diagonal positions.  The stray test then asks for
+    divisibility by gcd(pivot, D), the generator of the pivot's ideal
+    mod D; since that gcd divides D, residues of its multiples stay its
+    multiples, and the factors still form a divisibility chain.
     """
     m, s = a.rows, a.cols
-    d = a.to_rows()
+    d = [[x % modulus for x in row] for row in a.to_rows()] if modulus else a.to_rows()
     u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
     v = [[int(i == j) for j in range(s)] for i in range(s)] if track else None
     t = 0
@@ -228,17 +267,26 @@ def _smith_elimination(a: ZMatrix, track: bool):
 
     def row_sub(i, j, q):  # row i -= q * row j
         di, dj = d[i], d[j]
-        for k in range(t, s):
-            di[k] -= q * dj[k]
+        if modulus:
+            for k in range(t, s):
+                di[k] = (di[k] - q * dj[k]) % modulus
+        else:
+            for k in range(t, s):
+                di[k] -= q * dj[k]
         if track:
             ui, uj = u[i], u[j]
             for k in range(m):
                 ui[k] -= q * uj[k]
 
     def col_sub(j, k, q):  # col j -= q * col k
-        for i in range(t, m):
-            row = d[i]
-            row[j] -= q * row[k]
+        if modulus:
+            for i in range(t, m):
+                row = d[i]
+                row[j] = (row[j] - q * row[k]) % modulus
+        else:
+            for i in range(t, m):
+                row = d[i]
+                row[j] -= q * row[k]
         if track:
             for row in v:
                 row[j] -= q * row[k]
@@ -285,12 +333,14 @@ def _smith_elimination(a: ZMatrix, track: bool):
                 swap_rows(t, best[1])
                 swap_cols(t, best[2])
                 continue
-            pivot = d[t][t]
+            divisor = gcd(d[t][t], modulus) if modulus else abs(d[t][t])
+            if divisor == 1:
+                break  # a unit divides every entry: no stray can exist
             stray = None
             for i in range(t + 1, m):
                 row = d[i]
                 for j in range(t + 1, s):
-                    if row[j] % pivot:
+                    if row[j] % divisor:
                         stray = i
                         break
                 if stray is not None:
@@ -299,19 +349,16 @@ def _smith_elimination(a: ZMatrix, track: bool):
                 break
             # pull the non-multiple into the pivot row; the next sweep
             # replaces the pivot by a proper divisor of itself
-            drow, dstray = d[t], d[stray]
-            for k in range(t, s):
-                drow[k] += dstray[k]
-            if track:
-                urow, ustray = u[t], u[stray]
-                for k in range(m):
-                    urow[k] += ustray[k]
+            row_sub(t, stray, -1)
         if d[t][t] < 0:
             d[t][t] = -d[t][t]  # the rest of row t is already zero
             if track:
                 u[t] = [-x for x in u[t]]
         t += 1
-    factors = tuple(d[i][i] for i in range(limit) if d[i][i])
+    if modulus:
+        factors = tuple(gcd(d[i][i], modulus) for i in range(limit))
+    else:
+        factors = tuple(d[i][i] for i in range(limit) if d[i][i])
     return factors, d, u, v
 
 
@@ -338,11 +385,23 @@ def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
 def smith_invariants(a: ZMatrix) -> tuple[int, ...]:
     """The invariant factors of ``a``, without the unimodular transforms.
 
-    Runs the elimination of :func:`smith_normal_form` and returns the
-    same ``invariant_factors``; skipping the transforms avoids their
-    coefficient swell, which dwarfs the entries of the diagonal form.
+    Returns the same ``invariant_factors`` as :func:`smith_normal_form`,
+    computed modulo D, the gcd of the r x r minors that one Bareiss pass
+    (r the rank) leaves in its last pivot row and column.  This is exact:
+    the product d_1 ... d_r of the first r invariant factors divides
+    every r x r minor, so each d_i divides D, and the lattice spanned by
+    the rows of ``a`` and D*Z^n has the invariant factors
+    d_1 | ... | d_r | D | ... | D, whose first r are the d_i.  Entries of
+    the elimination therefore stay below D, which is far smaller than
+    the coefficient swell of the unreduced loop.
     """
-    return _smith_elimination(a, track=False)[0]
+    rank, _pivot, minors = _fraction_free(a)
+    if rank == 0:
+        return ()
+    modulus = gcd(*minors)
+    if modulus == 1:
+        return (1,) * rank
+    return _smith_elimination(a, track=False, modulus=modulus)[0][:rank]
 
 
 def _hermite_elimination(a: ZMatrix, track: bool):

@@ -100,13 +100,6 @@ def test_enumerate_budget():
     assert exc.value.needed == 36
 
 
-def test_enumerate_parallel_matches_sequential():
-    spec = torus_spec(7, 3)
-    sequential = enumerate_toric_set(spec)
-    for workers in (2, 3, 5):
-        assert enumerate_toric_set(spec, workers=workers) == sequential
-
-
 def test_toric_set_is_multiplicative_group():
     rng = random.Random(33)
     for _ in range(6):

@@ -258,3 +258,16 @@ def test_toric_negative_exponent_exits_2(write, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: exponents must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "command, name", [("degree", "bad.mat"), ("toric", "bad.exp"), ("sandpile", "bad.graph")]
+)
+def test_non_utf8_input_exits_2(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe3 3\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert "Traceback" not in err

@@ -5,31 +5,65 @@ against its Hermite basis; the reference here is the Smith-coordinate
 formula read off the Smith decomposition of the generators.
 """
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import minors_invariant_factors
 from latdeg import (
     HomogeneousLattice,
     ZMatrix,
+    determinant,
     hermite_basis,
     hermite_normal_form,
     smith_invariants,
     smith_normal_form,
 )
+from latdeg.intmat import _fraction_free
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
 def small_matrices(draw, max_dim=4, bound=9):
+    """An m x n matrix with m, n <= max_dim, of a shape the Smith routes branch on.
+
+    Uniform entries in [-bound, bound] or in [-10^6, 10^6]; the zero
+    matrix (rank 0); a product of an m x r and an r x n factor (rank at
+    most r, often below both m and n); or a unimodular transform of
+    diag(1, ..., 1, k), square and nonsingular, whose last invariant
+    factor is |det|.
+    """
     m = draw(st.integers(0, max_dim))
-    s = draw(st.integers(0, max_dim))
-    entry = st.integers(-bound, bound)
-    rows = [draw(st.lists(entry, min_size=s, max_size=s)) for _ in range(m)]
-    return ZMatrix.from_rows(rows, cols=s)
+    n = draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["uniform", "huge", "zero", "low_rank", "diagonal"]))
+    if kind == "zero":
+        return ZMatrix.zero(m, n)
+    if kind == "low_rank":
+        r = draw(st.integers(0, min(m, n)))
+        left = [draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)) for _ in range(m)]
+        right = [draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+                 for _ in range(r)]
+        rows = [[sum(x * y[j] for x, y in zip(row, right)) for j in range(n)] for row in left]
+        return ZMatrix.from_rows(rows, cols=n)
+    if kind == "diagonal":
+        n = max(n, 1)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[n - 1][n - 1] = draw(st.integers(1, 60))
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = draw(st.integers(-3, 3))
+            if i != j:
+                if draw(st.booleans()):
+                    rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+                else:
+                    for row in rows:
+                        row[i] += c * row[j]
+        return ZMatrix.from_rows(rows, cols=n)
+    entry = st.integers(-bound, bound) if kind == "uniform" else st.integers(-(10**6), 10**6)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    return ZMatrix.from_rows(rows, cols=n)
 
 
 @st.composite
@@ -82,10 +116,24 @@ def smith_reference(lattice, v):
 
 @SETTINGS
 @given(small_matrices())
+@example(ZMatrix.zero(3, 4))
+@example(ZMatrix.from_rows([[1, 0], [0, 6]]))
+@example(ZMatrix.from_rows([[2, 4, 6], [4, 8, 12], [6, 12, 18]]))
+@example(ZMatrix.from_rows([[10**6, -(10**6)], [999_999, 10**6]]))
 def test_smith_invariants_match_tracked_form_and_minors(a):
     factors = smith_invariants(a)
     assert factors == smith_normal_form(a).invariant_factors
-    assert list(factors) == minors_invariant_factors(a)
+    minors = minors_invariant_factors(a)
+    assert list(factors) == minors
+    rank, _pivot, last_minors = _fraction_free(a)
+    assert rank == len(factors)
+    if rank:
+        # the modulus of the Smith route: a multiple of every d_i
+        modulus = gcd(*last_minors)
+        assert modulus % prod(factors) == 0
+        assert modulus % prod(minors) == 0
+        if a.rows == a.cols == rank:
+            assert modulus == abs(determinant(a))
 
 
 @SETTINGS

@@ -171,9 +171,3 @@ def test_profile_rejects_negative_degree(example2):
     with pytest.raises(ValueError):
         hilbert_profile(example2, -1)
 
-
-def test_parallel_enumeration_matches_sequential(example2, example3):
-    for lattice, d in ((example2, 25), (example3, 9)):
-        sequential = hilbert_profile(lattice, d, workers=1)
-        for workers in (2, 3, 7):
-            assert hilbert_profile(lattice, d, workers=workers) == sequential
