@@ -39,10 +39,8 @@ from .errors import (
     RankMismatch,
 )
 from .hilbert import (
-    CosetLabel,
     DegreeCheck,
     HilbertProfile,
-    coset_label,
     hilbert_profile,
     oracle_degree,
     verify_degree,
@@ -61,7 +59,7 @@ from .intmat import (
     smith_invariants,
     smith_normal_form,
 )
-from .lattices import HomogeneousLattice, TorsionStructure, lattice_from_generators
+from .lattices import HomogeneousLattice, TorsionStructure
 
 __version__ = "0.1.0"
 
@@ -83,10 +81,7 @@ __all__ = [
     # lattices
     "HomogeneousLattice",
     "TorsionStructure",
-    "lattice_from_generators",
     # coset counting
-    "CosetLabel",
-    "coset_label",
     "HilbertProfile",
     "hilbert_profile",
     "oracle_degree",

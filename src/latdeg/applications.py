@@ -239,18 +239,33 @@ class GraphSpec:
             seen.add(e)
             norm.append(e)
         object.__setattr__(self, "edges", tuple(norm))
-        parent = list(range(s))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in norm:
-            parent[find(i)] = find(j)
-        if len({find(v) for v in range(s)}) != 1:
+        # fewer than s - 1 edges cannot connect s vertices; refuse before
+        # allocating anything of size s
+        if len(norm) < s - 1 or _joining_edges(s, norm) != s - 1:
             raise Disconnected(f"graph on {s} vertices is not connected")
+
+
+def _joining_edges(s: int, edges: Sequence[tuple[int, int]]) -> int:
+    """Number of ``edges`` that join two components, by union-find on 0..s-1.
+
+    Equals s - 1 exactly when the edges connect all s vertices; for
+    s - 1 edges, exactly when they form a spanning tree.
+    """
+    parent = list(range(s))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = 0
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            joined += 1
+    return joined
 
 
 def build_laplacian_lattice(g: GraphSpec) -> HomogeneousLattice:
@@ -285,30 +300,15 @@ def reduced_laplacian(g: GraphSpec, drop_vertex: int | None = None) -> ZMatrix:
 def spanning_tree_count(g: GraphSpec) -> int:
     """Exact spanning-tree count by enumerating edge subsets of size s-1.
 
-    A subset of s-1 acyclic edges on s vertices is automatically a
-    spanning tree, so a union-find cycle check suffices.
+    A subset of s-1 edges on s vertices is a spanning tree exactly when
+    each of its edges joins two components, so a union-find pass decides.
     """
     s = g.vertex_count
     if len(g.edges) > MAX_TREE_EDGES:
         raise BudgetExceeded(len(g.edges), MAX_TREE_EDGES, what="edge count")
-    count = 0
-    for subset in itertools.combinations(g.edges, s - 1):
-        parent = list(range(s))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in subset:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                break
-            parent[ri] = rj
-        else:
-            count += 1
-    return count
+    return sum(
+        _joining_edges(s, subset) == s - 1 for subset in itertools.combinations(g.edges, s - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -320,9 +320,13 @@ class SandpileCheck:
 
 
 def check_sandpile_degree(g: GraphSpec) -> SandpileCheck:
-    """Three independent routes to one number, compared."""
-    deg = build_laplacian_lattice(g).degree()
+    """Three independent routes to one number, compared.
+
+    The tree count goes first: its edge budget refuses a large graph
+    before the Laplacian lattice of that graph is eliminated.
+    """
     trees = spanning_tree_count(g)
+    deg = build_laplacian_lattice(g).degree()
     det = abs(determinant(reduced_laplacian(g)))
     return SandpileCheck(
         degree=deg,

@@ -24,7 +24,7 @@ from .applications import (
 )
 from .errors import DomainError, FormatError
 from .hilbert import DEFAULT_BUDGET, hilbert_profile, verify_degree
-from .intmat import ZMatrix, format_matrix, hermite_normal_form, parse_matrix, smith_normal_form
+from .intmat import ZMatrix, format_matrix, hermite_basis, parse_matrix, smith_invariants
 from .lattices import HomogeneousLattice
 
 __all__ = ["main", "build_parser", "emit_cas_script", "lattice_summary"]
@@ -119,33 +119,34 @@ def _emit(payload: dict) -> int:
 
 def _cmd_snf(args) -> int:
     a = parse_matrix(_read_text(args.input))
-    dec = smith_normal_form(a)
+    factors = smith_invariants(a)
     if args.json:
         return _emit(
             {
                 "rows": a.rows,
                 "cols": a.cols,
-                "rank": dec.rank,
-                "invariant_factors": [str(f) for f in dec.invariant_factors],
+                "rank": len(factors),
+                "invariant_factors": [str(f) for f in factors],
             }
         )
-    print(f"rank {dec.rank}")
-    print("invariant factors " + " ".join(str(f) for f in dec.invariant_factors))
+    print(f"rank {len(factors)}")
+    print("invariant factors " + " ".join(str(f) for f in factors))
     return 0
 
 
 def _cmd_hnf(args) -> int:
     a = parse_matrix(_read_text(args.input))
-    hf = hermite_normal_form(a)
+    basis = hermite_basis(a)
+    h = ZMatrix.from_rows(basis.to_rows() + [[0] * a.cols] * (a.rows - basis.rows), cols=a.cols)
     if args.json:
         return _emit(
             {
-                "rank": hf.rank,
-                "h": [[str(x) for x in hf.h.row(i)] for i in range(hf.h.rows)],
+                "rank": basis.rows,
+                "h": [[str(x) for x in h.row(i)] for i in range(h.rows)],
             }
         )
-    print(f"rank {hf.rank}")
-    sys.stdout.write(format_matrix(hf.h))
+    print(f"rank {basis.rows}")
+    sys.stdout.write(format_matrix(h))
     return 0
 
 

@@ -1,28 +1,28 @@
-"""Brute-force coset counting and the degree it certifies.
+"""Coset counting and the degree it certifies.
 
-This is the slow, independent cross-check for the invariant-factor
-degree formula: enumerate every exponent vector of each total degree,
-label it by the coset it occupies in Z^s modulo the lattice, and count
-distinct labels.  Two same-degree exponent vectors share a label exactly
-when their difference lies in the lattice, so the count per degree is
+This is the independent cross-check for the invariant-factor degree
+formula.  The count in degree d is the number of cosets of Z^s modulo
+the lattice that the exponent vectors of total degree d occupy, i.e.
 the dimension of the degree-d piece of the quotient of the polynomial
-ring by the lattice's binomial ideal.  Finite differences of the counts
-then recover the degree without any reference to normal forms.
+ring by the lattice's binomial ideal.  A degree-d exponent vector x
+lies in the coset of x - d*e_s, a sum of at most d steps e_i - e_s
+(i < s), so the count is the size of the radius-d ball around 0 in the
+Cayley graph of the quotient group with those steps.  One breadth-first
+search over cosets, each named by its canonical residue under the
+lattice's Hermite basis, gives every count.  Finite differences of the
+counts then recover the degree without any reference to the Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DomainError, NotStabilized
 from .lattices import HomogeneousLattice
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "CosetLabel",
-    "coset_label",
     "HilbertProfile",
     "hilbert_profile",
     "oracle_degree",
@@ -31,29 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000
-
-
-class CosetLabel(NamedTuple):
-    """Canonical tag for the coset of an exponent vector.
-
-    In Smith coordinates w, the torsion residues are w_i mod d_i for the
-    invariant factors d_i, and the free coordinates are the remaining
-    w_i verbatim.  Two vectors get equal labels iff their difference is
-    in the lattice.
-    """
-
-    torsion_residues: tuple[int, ...]
-    free_coords: tuple[int, ...]
-
-
-def coset_label(lattice: HomogeneousLattice, v: Sequence[int]) -> CosetLabel:
-    w = lattice.smith_coordinates(v)
-    factors = lattice.decomposition.invariant_factors
-    r = lattice.rank
-    return CosetLabel(
-        torsion_residues=tuple(w[i] % factors[i] for i in range(r)),
-        free_coords=tuple(w[r:]),
-    )
 
 
 @dataclass(frozen=True)
@@ -103,59 +80,31 @@ def _make_profile(values: tuple[int, ...], window: int) -> HilbertProfile:
     )
 
 
-def _label_data(lattice: HomogeneousLattice):
-    """Per-coordinate label increments: (rows, mods).
+def _ball_sizes(lattice: HomogeneousLattice, d_max: int) -> tuple[int, ...]:
+    """Sizes of the balls of radius 0..d_max around the coset of 0.
 
-    Column j of the Smith transform contributes w_j; columns with
-    invariant factor 1 are dropped (their residue is identically zero),
-    torsion columns carry their modulus, free columns carry modulus 0
-    meaning "do not reduce".
+    Radius d adds only neighbours of the cosets first reached at radius
+    d - 1; once a radius adds nothing, every larger ball is the same.
     """
-    dec = lattice.decomposition
     s = lattice.ambient_dim
-    r = dec.rank
-    factors = dec.invariant_factors
-    cols = [j for j in range(r) if factors[j] > 1] + list(range(r, s))
-    mods = [factors[j] for j in range(r) if factors[j] > 1] + [0] * (s - r)
-    vrows = [dec.v.row(i) for i in range(s)]
-    rows = [tuple(vr[j] for j in cols) for vr in vrows]
-    return rows, mods
-
-
-def _count_degree(rows, mods, s: int, d: int) -> int:
-    """Number of distinct labels of the exponent vectors of total degree d.
-
-    Enumeration is depth-first over coordinates s-1, s-2, ..., 0 with the
-    last coordinate's count chosen first (colex over the vectors); the
-    running label is updated incrementally.
-    """
-    width = len(mods)
-    labels: set = set()
-
-    def leaf(w, count):
-        row = rows[0]
-        labels.add(
-            tuple(
-                (w[k] + count * row[k]) % mods[k] if mods[k] else w[k] + count * row[k]
-                for k in range(width)
-            )
-        )
-
-    def rec(i, remaining, w):
-        if i == 0:
-            leaf(w, remaining)
-            return
-        row = rows[i]
-        ww = list(w)
-        for _ in range(remaining + 1):
-            rec(i - 1, remaining, ww)
-            remaining -= 1
-            for k in range(width):
-                m = mods[k]
-                ww[k] = (ww[k] + row[k]) % m if m else ww[k] + row[k]
-
-    rec(s - 1, d, [0] * width)
-    return len(labels)
+    origin = (0,) * s
+    seen = {origin}
+    frontier = [origin]
+    sizes = [1]
+    while frontier and len(sizes) <= d_max:
+        reached = []
+        for x in frontier:
+            for i in range(s - 1):
+                y = list(x)
+                y[i] += 1
+                y[-1] -= 1
+                y = lattice.residue(y)
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+        frontier = reached
+        sizes.append(len(seen))
+    return tuple(sizes) + (len(seen),) * (d_max + 1 - len(sizes))
 
 
 def hilbert_profile(
@@ -165,9 +114,11 @@ def hilbert_profile(
 ) -> HilbertProfile:
     """Coset counts for every degree 0..d_max.
 
-    The work is proportional to the number of exponent vectors touched;
-    C(d_max + s - 1, s - 1) estimates the largest layer and must stay
-    within ``budget``.
+    The counts are the sizes of the breadth-first balls around the coset
+    of 0, and the work is proportional to the largest ball times s.
+    That ball holds at most C(d_max + s - 1, s - 1) cosets, one per
+    exponent vector of degree d_max, and this bound must stay within
+    ``budget``.
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
@@ -179,9 +130,7 @@ def hilbert_profile(
     needed = comb(d_max + s - 1, s - 1)
     if needed > budget:
         raise BudgetExceeded(needed, budget, what="estimated monomial count")
-    rows, mods = _label_data(lattice)
-    values = tuple(_count_degree(rows, mods, s, d) for d in range(d_max + 1))
-    return _make_profile(values, window=max(3, s))
+    return _make_profile(_ball_sizes(lattice, d_max), window=max(3, s))
 
 
 def oracle_degree(profile: HilbertProfile) -> int:

@@ -8,17 +8,18 @@ quotient group, and for lattices of rank one less than the ambient
 dimension the degree (the torsion order).  An independent Hermite
 elimination, also without transform, gives the echelon basis that
 answers membership and element-order queries by integer reduction,
-the simplex-volume reading of the degree (its Bareiss determinant),
-and an upper bound for where the associated counting function goes
-constant.  The Smith decomposition with transforms, needed only for
-Smith coordinates and coset labels, is computed on first use.
+canonical coset representatives, the simplex-volume reading of the
+degree (its Bareiss determinant), and an upper bound for where the
+associated counting function goes constant.  The Smith decomposition
+with transforms, used only by Smith coordinates, is computed on first
+use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, DomainError, NotHomogeneous, RankMismatch
 from .intmat import (
@@ -30,7 +31,7 @@ from .intmat import (
     smith_normal_form,
 )
 
-__all__ = ["HomogeneousLattice", "TorsionStructure", "lattice_from_generators"]
+__all__ = ["HomogeneousLattice", "TorsionStructure"]
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,11 @@ class HomogeneousLattice:
     transform-free eliminations of the generator matrix: the Smith
     elimination for ``invariant_factors`` (rank, degree, torsion) and
     the Hermite elimination for ``basis``, the echelon basis that
-    answers membership and element-order queries with integer reduction
-    and gives the normalized volume.  Degree and volume therefore come
-    from independent eliminations.  The Smith decomposition with
-    transforms is computed on first access to :attr:`decomposition`.
+    answers membership, element-order and coset queries with integer
+    reduction and gives the normalized volume.  Degree and volume
+    therefore come from independent eliminations.  The Smith
+    decomposition with transforms is computed on first access to
+    :attr:`decomposition`.
     Instances are immutable (the cache is idempotent) and safe to share
     across threads.
     """
@@ -145,6 +147,23 @@ class HomogeneousLattice:
                     w[k] -= q * row[k]
         return None if any(w) else n
 
+    def residue(self, v: Sequence[int]) -> tuple[int, ...]:
+        """Canonical representative of the coset ``v`` + L.
+
+        Reduces ``v`` by the echelon basis, pivot by pivot, flooring each
+        pivot coordinate into [0, h) for the pivot h of its basis row.
+        Two vectors have equal residues iff their difference lies in the
+        lattice.
+        """
+        w = self._vector(v)
+        for i, p in enumerate(self._pivots):
+            q = w[p] // self.basis[i, p]
+            if q:
+                row = self.basis.row(i)
+                for k in range(p, self.ambient_dim):
+                    w[k] -= q * row[k]
+        return tuple(w)
+
     def torsion_structure(self) -> TorsionStructure:
         factors = self.invariant_factors
         return TorsionStructure(
@@ -207,10 +226,3 @@ class HomogeneousLattice:
         self._require_corank_one()
         basis = [self.basis.row(i)[:-1] for i in range(self.basis.rows)]
         return abs(determinant(ZMatrix.from_rows(basis, cols=self.ambient_dim - 1)))
-
-
-def lattice_from_generators(a: ZMatrix | Iterable[Sequence[int]]) -> HomogeneousLattice:
-    """Build a lattice from a generator matrix, checking homogeneity."""
-    if isinstance(a, ZMatrix):
-        return HomogeneousLattice(a)
-    return HomogeneousLattice.from_rows(list(a))

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's elimination code so
 that agreement means something: determinants by cofactor expansion,
 invariant factors by gcds of minors, membership by bounded coefficient
-search, spanning structure by hand.
+search, coset counts by pairwise membership tests, spanning structure
+by hand.
 """
 
 import itertools
@@ -128,6 +129,22 @@ def random_connected_graph(rng, max_vertices=7):
         if pair not in edges and rng.random() < 0.4:
             edges.add(pair)
     return GraphSpec(vertex_count=s, edges=tuple(sorted(edges)))
+
+
+def pairwise_coset_count(lattice, d):
+    """Quadratic-time reference count: one class per equivalence block."""
+    s = lattice.ambient_dim
+    monomials = [
+        v for v in itertools.product(range(d + 1), repeat=s) if sum(v) == d
+    ]
+    classes = []
+    for a in monomials:
+        for rep in classes:
+            if lattice.contains([x - y for x, y in zip(a, rep)]):
+                break
+        else:
+            classes.append(a)
+    return len(classes)
 
 
 def is_strictly_increasing_then_constant(values):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -23,6 +24,7 @@ from latdeg import (
     reduced_laplacian,
     spanning_tree_count,
 )
+from latdeg import applications
 from latdeg.applications import _is_prime
 from latdeg.errors import FormatError
 
@@ -206,6 +208,8 @@ def test_reduced_laplacian_drop_choice_is_irrelevant():
 def test_graph_validation():
     with pytest.raises(Disconnected):
         GraphSpec(4, ((0, 1), (2, 3)))
+    with pytest.raises(Disconnected):
+        GraphSpec(5, ((0, 1), (1, 2), (0, 2), (3, 4)))  # s - 1 edges, two components
     with pytest.raises(ValueError):
         GraphSpec(3, ((0, 0),))
     with pytest.raises(ValueError):
@@ -216,6 +220,32 @@ def test_graph_validation():
     single = GraphSpec(1, ())
     assert spanning_tree_count(single) == 1
     assert build_laplacian_lattice(single).degree() == 1
+
+
+def test_sandpile_edge_budget_refuses_before_the_laplacian(monkeypatch):
+    # 120 vertices, 600 edges: eliminating the Laplacian alone takes seconds
+    edges = tuple((i, (i + k) % 120) for k in range(1, 6) for i in range(120))
+    g = GraphSpec(120, edges)
+
+    def refuse(_g):
+        raise AssertionError("Laplacian lattice built before the edge budget was checked")
+
+    monkeypatch.setattr(applications, "build_laplacian_lattice", refuse)
+    with pytest.raises(BudgetExceeded):
+        check_sandpile_degree(g)
+
+
+def test_too_few_edges_are_disconnected_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(Disconnected):
+            parse_graph("1000000\n")
+        with pytest.raises(Disconnected):
+            GraphSpec(5, ((0, 1), (1, 2), (2, 3)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_parse_toric_spec():

@@ -1,10 +1,11 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import random_int_matrix
-from latdeg import HomogeneousLattice, format_matrix, parse_matrix
+from latdeg import HomogeneousLattice, format_matrix, hermite_normal_form, parse_matrix
 from latdeg.cli import emit_cas_script, lattice_summary, main
 
 EXAMPLE1 = """4 5
@@ -69,6 +70,44 @@ def test_hnf_command_output_is_reparseable(write, capsys):
     assert lines[0] == "rank 2"
     h = parse_matrix("\n".join(lines[1:]))
     assert h.rows == 3 and h.cols == 3
+
+
+def test_hnf_command_pads_the_basis_to_the_hermite_form(write, capsys):
+    rng = random.Random(77)
+    for _ in range(20):
+        a = random_int_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), 3)
+        hf = hermite_normal_form(a)
+        code, out, _ = run(capsys, "hnf", write("m.mat", format_matrix(a)))
+        assert code == 0
+        assert out == f"rank {hf.rank}\n" + format_matrix(hf.h)
+        code, out, _ = run(capsys, "hnf", write("m.mat", format_matrix(a)), "--json")
+        assert json.loads(out) == {
+            "rank": hf.rank,
+            "h": [[str(x) for x in hf.h.row(i)] for i in range(hf.h.rows)],
+        }
+
+
+@pytest.mark.parametrize(
+    "command, text, expected",
+    [
+        ("snf", "0 2000\n", "rank 0\ninvariant factors \n"),
+        ("snf", "2000 0\n", "rank 0\ninvariant factors \n"),
+        ("hnf", "0 2000\n", "rank 0\n0 2000\n"),
+        ("hnf", "2000 0\n", "rank 0\n2000 0\n"),
+    ],
+)
+def test_snf_hnf_of_empty_matrix_build_no_transform(write, capsys, command, text, expected):
+    # an N x N transform for an empty input once cost over 100 MB at N = 2000
+    path = write("empty.mat", text)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, command, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == expected
+    assert peak < 8 * 2**20
 
 
 def test_torsion_command(write, capsys):

@@ -2,7 +2,9 @@
 
 The lattice answers membership and element-order queries by reducing
 against its Hermite basis; the reference here is the Smith-coordinate
-formula read off the Smith decomposition of the generators.
+formula read off the Smith decomposition of the generators.  The
+breadth-first coset counts of ``hilbert_profile`` are checked against
+pairwise membership tests between monomials.
 """
 
 from math import gcd, lcm, prod
@@ -10,13 +12,14 @@ from math import gcd, lcm, prod
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import minors_invariant_factors
+from conftest import minors_invariant_factors, pairwise_coset_count
 from latdeg import (
     HomogeneousLattice,
     ZMatrix,
     determinant,
     hermite_basis,
     hermite_normal_form,
+    hilbert_profile,
     smith_invariants,
     smith_normal_form,
 )
@@ -67,15 +70,13 @@ def small_matrices(draw, max_dim=4, bound=9):
 
 
 @st.composite
-def lattices_with_vectors(draw):
-    """A homogeneous lattice in Z^s (1 <= s <= 5) of any rank, and query vectors.
+def homogeneous_rows(draw, max_s=5):
+    """(s, rows): generator rows of a homogeneous lattice in Z^s of any rank.
 
     Rows are drawn as s-1 free entries plus the balancing last one, and
-    zero rows are mixed in, so every rank from 0 to s-1 occurs.  The
-    queries are arbitrary vectors, coordinate-sum-zero vectors, lattice
-    members and their quotients by small integers where those are whole.
+    zero rows are mixed in, so every rank from 0 to s-1 occurs.
     """
-    s = draw(st.integers(1, 5))
+    s = draw(st.integers(1, max_s))
     m = draw(st.integers(0, s + 1))
     rows = []
     for _ in range(m):
@@ -84,6 +85,19 @@ def lattices_with_vectors(draw):
         else:
             head = draw(st.lists(st.integers(-6, 6), min_size=s - 1, max_size=s - 1))
             rows.append(head + [-sum(head)])
+    return s, rows
+
+
+@st.composite
+def lattices_with_vectors(draw):
+    """A homogeneous lattice in Z^s (1 <= s <= 5) of any rank, and query vectors.
+
+    The queries are arbitrary vectors, coordinate-sum-zero vectors,
+    lattice members and their quotients by small integers where those
+    are whole.
+    """
+    s, rows = draw(homogeneous_rows())
+    m = len(rows)
     lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
     coordinate = st.integers(-8, 8)
     vectors = draw(st.lists(st.lists(coordinate, min_size=s, max_size=s), max_size=4))
@@ -163,3 +177,32 @@ def test_lazy_decomposition_matches_smith_normal_form(case):
     first = lattice.decomposition
     assert first == smith_normal_form(lattice.generators)
     assert lattice.decomposition is first
+
+
+@SETTINGS
+@given(lattices_with_vectors())
+def test_residue_is_a_canonical_coset_label(case):
+    lattice, vectors = case
+    generators = lattice.generators.to_rows()
+    for v in vectors:
+        r = lattice.residue(v)
+        assert lattice.residue(r) == r
+        assert lattice.contains([x - y for x, y in zip(v, r)])
+        for g in generators:
+            assert lattice.residue([x + y for x, y in zip(v, g)]) == r
+    for a in vectors:
+        for b in vectors:
+            difference = [x - y for x, y in zip(a, b)]
+            assert (lattice.residue(a) == lattice.residue(b)) == lattice.contains(difference)
+
+
+@SETTINGS
+@given(homogeneous_rows(max_s=4), st.integers(0, 4))
+@example((1, []), 4)
+@example((4, []), 4)
+@example((4, [[0, 0, 0, 0]]), 3)
+def test_profile_matches_pairwise_counts(case, d):
+    s, rows = case
+    lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
+    expected = tuple(pairwise_coset_count(lattice, k) for k in range(d + 1))
+    assert hilbert_profile(lattice, d).values == expected

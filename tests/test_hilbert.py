@@ -4,13 +4,16 @@ from math import comb
 
 import pytest
 
-from conftest import is_strictly_increasing_then_constant, random_corank1_lattice
+from conftest import (
+    is_strictly_increasing_then_constant,
+    pairwise_coset_count,
+    random_corank1_lattice,
+)
 from latdeg import (
     BudgetExceeded,
     HomogeneousLattice,
     NotStabilized,
     RankMismatch,
-    coset_label,
     hilbert_profile,
     oracle_degree,
     verify_degree,
@@ -25,22 +28,6 @@ def example2():
 @pytest.fixture(scope="module")
 def example3():
     return HomogeneousLattice.from_rows([[-1, 2, -1]])
-
-
-def pairwise_coset_count(lattice, d):
-    """Quadratic-time reference count: one class per equivalence block."""
-    s = lattice.ambient_dim
-    monomials = [
-        v for v in itertools.product(range(d + 1), repeat=s) if sum(v) == d
-    ]
-    classes = []
-    for a in monomials:
-        for rep in classes:
-            if lattice.contains([x - y for x, y in zip(a, rep)]):
-                break
-        else:
-            classes.append(a)
-    return len(classes)
 
 
 def test_profile_example3_is_odd_numbers(example3):
@@ -118,6 +105,16 @@ def test_verify_degree_examples(example2):
     assert check.observed_stabilization == 0
 
 
+def test_verify_degree_150_stabilizes_at_12():
+    # counting to the bound 203 + s once took minutes; the counts settle at 12
+    lattice = HomogeneousLattice.from_rows([[6, -2, -4, 0], [0, 5, 0, -5], [3, 3, -7, 1]])
+    check = verify_degree(lattice)
+    assert check.agree
+    assert check.snf_degree == check.oracle_degree == 150
+    assert check.regularity_bound == 203
+    assert check.observed_stabilization == 12
+
+
 def test_verify_degree_requires_corank_one(example3):
     with pytest.raises(RankMismatch):
         verify_degree(example3)
@@ -129,7 +126,7 @@ def test_counterexample_fidelity(example3):
     assert example3.torsion_structure().order == 1
 
 
-def test_coset_label_soundness(example2, example3):
+def test_residue_soundness(example2, example3):
     for lattice in (example2, example3):
         for d in (2, 3):
             monos = [
@@ -138,7 +135,7 @@ def test_coset_label_soundness(example2, example3):
                 if sum(v) == d
             ]
             for a, b in itertools.combinations(monos, 2):
-                equal = coset_label(lattice, a) == coset_label(lattice, b)
+                equal = lattice.residue(a) == lattice.residue(b)
                 assert equal == lattice.contains([x - y for x, y in zip(a, b)])
 
 

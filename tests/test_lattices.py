@@ -16,7 +16,6 @@ from latdeg import (
     ZMatrix,
     hermite_normal_form,
     hilbert_profile,
-    lattice_from_generators,
     mat_mul,
 )
 
@@ -54,9 +53,9 @@ def test_construction(example2, example3):
     with pytest.raises(NotHomogeneous) as exc:
         HomogeneousLattice.from_rows([[1, 1]])
     assert exc.value.row_index == 0
-    # factory accepts either raw rows or a matrix
-    assert lattice_from_generators(EXAMPLE2_ROWS).rank == 2
-    assert lattice_from_generators(ZMatrix.from_rows(EXAMPLE2_ROWS)).rank == 2
+    # both constructors: raw rows or a matrix
+    assert HomogeneousLattice.from_rows(EXAMPLE2_ROWS).rank == 2
+    assert HomogeneousLattice(ZMatrix.from_rows(EXAMPLE2_ROWS)).rank == 2
 
 
 def test_contains_examples(example2, example3):
