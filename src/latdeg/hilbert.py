@@ -16,7 +16,7 @@ counts then recover the degree without any reference to the Smith form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .errors import BudgetExceeded, DomainError, NotStabilized
 from .lattices import HomogeneousLattice
@@ -117,8 +117,10 @@ def hilbert_profile(
     The counts are the sizes of the breadth-first balls around the coset
     of 0, and the work is proportional to the largest ball times s.
     That ball holds at most C(d_max + s - 1, s - 1) cosets, one per
-    exponent vector of degree d_max, and this bound must stay within
-    ``budget``.
+    exponent vector of degree d_max.  At rank s - 1 the steps stay in a
+    finite group of order |T|, the torsion order, so the search takes at
+    most |T| * s residue steps.  The smaller bound must stay within
+    ``budget``; |T| is read for this bound only, never for the counts.
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
@@ -128,8 +130,13 @@ def hilbert_profile(
             "ambient dimension is 0; coset counting needs a lattice in Z^s with s >= 1"
         )
     needed = comb(d_max + s - 1, s - 1)
+    what = "estimated monomial count"
+    if lattice.rank == s - 1:
+        steps = prod(lattice.invariant_factors) * s
+        if steps < needed:
+            needed, what = steps, "coset search steps"
     if needed > budget:
-        raise BudgetExceeded(needed, budget, what="estimated monomial count")
+        raise BudgetExceeded(needed, budget, what=what)
     return _make_profile(_ball_sizes(lattice, d_max), window=max(3, s))
 
 

@@ -10,7 +10,9 @@ The invariant factors alone are computed modulo D, the gcd of the r x r
 minors (r the rank) that one Bareiss pass already produces; that pass
 is shared with the determinant.  Every one of the first r invariant
 factors divides D, so reducing mod D loses none of them, and entries
-stay below D instead of swelling.  Hermite forms are always exact.
+stay below D instead of swelling.  The Hermite elimination also takes a
+modulus, a multiple of the index of a full-rank row lattice; the public
+Hermite functions run it exact.
 """
 
 from __future__ import annotations
@@ -404,7 +406,7 @@ def smith_invariants(a: ZMatrix) -> tuple[int, ...]:
     return _smith_elimination(a, track=False, modulus=modulus)[0][:rank]
 
 
-def _hermite_elimination(a: ZMatrix, track: bool):
+def _hermite_elimination(a: ZMatrix, track: bool, modulus: int = 0):
     """The Hermite elimination loop shared by both Hermite entry points.
 
     Returns the echelon working matrix, the row transform when ``track``
@@ -412,9 +414,16 @@ def _hermite_elimination(a: ZMatrix, track: bool):
     on, the rows at and below the current pivot row are zero before
     column j; row operations only subtract multiples of those rows, so
     they touch only columns >= j.
+
+    A positive ``modulus`` R (without ``track``) requires a full-rank
+    row lattice whose index divides R, so it contains R*Z^s
+    (Domich-Kannan-Trotter).  Rows at and below the pivot row stay
+    reduced mod R; the pivot is h = gcd(x, R) for the entry x left in
+    the column (R if it is all zero mod R), its row u * row mod R with
+    u*x = h mod R, and then R //= h.  Reduction above pivots is exact.
     """
     m, s = a.rows, a.cols
-    h = a.to_rows()
+    h = [[x % modulus for x in row] for row in a.to_rows()] if modulus else a.to_rows()
     t = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
 
     def swap(i, k):
@@ -425,8 +434,12 @@ def _hermite_elimination(a: ZMatrix, track: bool):
 
     def row_sub(i, k, q):  # row i -= q * row k
         hi, hk = h[i], h[k]
-        for c in range(j, s):
-            hi[c] -= q * hk[c]
+        if modulus and i > k:
+            for c in range(j, s):
+                hi[c] = (hi[c] - q * hk[c]) % modulus
+        else:
+            for c in range(j, s):
+                hi[c] -= q * hk[c]
         if track:
             ti, tk = t[i], t[k]
             for c in range(m):
@@ -456,9 +469,15 @@ def _hermite_elimination(a: ZMatrix, track: bool):
             if clean:
                 pivoted = True
                 break
-        if not pivoted:
+        if modulus:
+            row = h[r]
+            pivot = gcd(row[j], modulus)
+            u = pow(row[j] // pivot, -1, modulus // pivot)
+            h[r] = row[:j] + [pivot] + [u * x % modulus for x in row[j + 1 :]]
+            modulus //= pivot
+        elif not pivoted:
             continue
-        if h[r][j] < 0:
+        elif h[r][j] < 0:
             h[r] = [-x for x in h[r]]
             if track:
                 t[r] = [-x for x in t[r]]

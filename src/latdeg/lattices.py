@@ -6,13 +6,13 @@ the invariant factors of the generators (a Smith elimination without
 unimodular transforms) give the rank and the torsion structure of the
 quotient group, and for lattices of rank one less than the ambient
 dimension the degree (the torsion order).  An independent Hermite
-elimination, also without transform, gives the echelon basis that
-answers membership and element-order queries by integer reduction,
-canonical coset representatives, the simplex-volume reading of the
-degree (its Bareiss determinant), and an upper bound for where the
-associated counting function goes constant.  The Smith decomposition
-with transforms, used only by Smith coordinates, is computed on first
-use.
+elimination, also without transform and at that rank modulo a gcd of
+minors of its own, gives the echelon basis that answers membership
+and element-order queries by integer reduction, canonical coset
+representatives, the simplex-volume reading of the degree (its Bareiss
+determinant), and an upper bound for where the associated counting
+function goes constant.  The Smith decomposition with transforms, used
+only by Smith coordinates, is computed on first use.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .errors import DimensionMismatch, DomainError, NotHomogeneous, RankMismatch
 from .intmat import (
     SmithDecomposition,
     ZMatrix,
+    _fraction_free,
+    _hermite_elimination,
     determinant,
     hermite_basis,
     smith_invariants,
@@ -49,6 +51,22 @@ class TorsionStructure:
     free_rank: int
 
 
+def _corank_one_basis(generators: ZMatrix) -> ZMatrix:
+    """:func:`hermite_basis` of homogeneous generators of rank s - 1, modulo D2.
+
+    Without its last coordinate (minus the row sum) the lattice is L',
+    of full rank in Z^(s-1), whose index (the degree) divides D2, the
+    gcd of the minors of a Bareiss pass over L' in reverse row order.
+    """
+    s = generators.cols
+    head = [generators.row(i)[:-1] for i in range(generators.rows)]
+    _rank, _pivot, minors = _fraction_free(ZMatrix.from_rows(head[::-1], cols=s - 1))
+    h, _t, _r = _hermite_elimination(
+        ZMatrix.from_rows(head, cols=s - 1), track=False, modulus=gcd(*minors)
+    )
+    return ZMatrix.from_rows([row + [-sum(row)] for row in h[: s - 1]], cols=s)
+
+
 class HomogeneousLattice:
     """Integer lattice in Z^s all of whose members have zero coordinate sum.
 
@@ -58,8 +76,11 @@ class HomogeneousLattice:
     elimination for ``invariant_factors`` (rank, degree, torsion) and
     the Hermite elimination for ``basis``, the echelon basis that
     answers membership, element-order and coset queries with integer
-    reduction and gives the normalized volume.  Degree and volume
-    therefore come from independent eliminations.  The Smith
+    reduction and gives the normalized volume.  The Smith elimination
+    works modulo the gcd of the minors of one Bareiss pass; at rank
+    s - 1 the Hermite elimination works modulo that of a second pass
+    over the rows in reverse order.  Degree and volume therefore come
+    from independent eliminations with independent moduli.  The Smith
     decomposition with transforms is computed on first access to
     :attr:`decomposition`.
     Instances are immutable (the cache is idempotent) and safe to share
@@ -78,10 +99,16 @@ class HomogeneousLattice:
         self.ambient_dim = generators.cols
         self.invariant_factors = smith_invariants(generators)
         self.rank = len(self.invariant_factors)
-        self.basis = hermite_basis(generators)
-        self._pivots = tuple(
-            next(j for j, x in enumerate(self.basis.row(i)) if x) for i in range(self.basis.rows)
-        )
+        if self.rank == self.ambient_dim - 1:
+            self.basis = _corank_one_basis(generators)
+        else:
+            self.basis = hermite_basis(generators)
+        pivots = []
+        for i in range(self.basis.rows):
+            row = self.basis.row(i)
+            p = next(j for j, x in enumerate(row) if x)
+            pivots.append((p, row[p], row))
+        self._pivots = tuple(pivots)  # (column, pivot, basis row) per row
         self._decomposition = None
 
     @classmethod
@@ -134,15 +161,13 @@ class HomogeneousLattice:
         """
         w = self._vector(v)
         n = 1
-        for i, p in enumerate(self._pivots):
-            h = self.basis[i, p]
+        for p, h, row in self._pivots:
             scale = h // gcd(w[p], h)
             if scale > 1:
                 n *= scale
                 w = [scale * x for x in w]
             q = w[p] // h
             if q:
-                row = self.basis.row(i)
                 for k in range(p, self.ambient_dim):
                     w[k] -= q * row[k]
         return None if any(w) else n
@@ -156,10 +181,9 @@ class HomogeneousLattice:
         lattice.
         """
         w = self._vector(v)
-        for i, p in enumerate(self._pivots):
-            q = w[p] // self.basis[i, p]
+        for p, h, row in self._pivots:
+            q = w[p] // h
             if q:
-                row = self.basis.row(i)
                 for k in range(p, self.ambient_dim):
                     w[k] -= q * row[k]
         return tuple(w)

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ EXAMPLE1 = """4 5
 """
 EXAMPLE2 = "3 3\n18 -18 0\n45 0 -45\n0 10 -10\n"
 EXAMPLE3 = "1 3\n-1 2 -1\n"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -167,6 +169,16 @@ def test_hilbert_budget_error(write, capsys):
     )
     assert code == 1
     assert "BudgetExceeded" in err
+
+
+def test_hilbert_budget_bounds_cosets_at_corank_one(capsys):
+    # 2,208,151 monomials of degree 2100, but only 90 cosets: 270 residue steps
+    code, out, _ = run(capsys, "hilbert", str(DATA / "example2.mat"), "--max-degree", "2100")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[17] == "17 90"
+    assert lines[2100] == "2100 90"
+    assert lines[-1] == "degree estimate 90 (difference order 0); values constant from degree 17"
 
 
 def test_verify_command(write, capsys):

@@ -2,13 +2,16 @@
 
 The lattice answers membership and element-order queries by reducing
 against its Hermite basis; the reference here is the Smith-coordinate
-formula read off the Smith decomposition of the generators.  The
-breadth-first coset counts of ``hilbert_profile`` are checked against
-pairwise membership tests between monomials.
+formula read off the Smith decomposition of the generators.  At rank
+s - 1 that basis is computed modulo a gcd of minors, and is checked
+against the exact ``hermite_basis``.  The breadth-first coset counts of
+``hilbert_profile`` are checked against pairwise membership tests
+between monomials.
 """
 
 from math import gcd, lcm, prod
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +27,7 @@ from latdeg import (
     smith_normal_form,
 )
 from latdeg.intmat import _fraction_free
+from latdeg.lattices import _corank_one_basis
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -70,11 +74,12 @@ def small_matrices(draw, max_dim=4, bound=9):
 
 
 @st.composite
-def homogeneous_rows(draw, max_s=5):
+def homogeneous_rows(draw, max_s=5, bound=6):
     """(s, rows): generator rows of a homogeneous lattice in Z^s of any rank.
 
-    Rows are drawn as s-1 free entries plus the balancing last one, and
-    zero rows are mixed in, so every rank from 0 to s-1 occurs.
+    Rows are drawn as s-1 free entries in [-bound, bound] plus the
+    balancing last one, and zero rows are mixed in, so every rank from
+    0 to s-1 occurs.
     """
     s = draw(st.integers(1, max_s))
     m = draw(st.integers(0, s + 1))
@@ -83,7 +88,7 @@ def homogeneous_rows(draw, max_s=5):
         if draw(st.booleans()) and draw(st.booleans()):
             rows.append([0] * s)
         else:
-            head = draw(st.lists(st.integers(-6, 6), min_size=s - 1, max_size=s - 1))
+            head = draw(st.lists(st.integers(-bound, bound), min_size=s - 1, max_size=s - 1))
             rows.append(head + [-sum(head)])
     return s, rows
 
@@ -206,3 +211,48 @@ def test_profile_matches_pairwise_counts(case, d):
     lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
     expected = tuple(pairwise_coset_count(lattice, k) for k in range(d + 1))
     assert hilbert_profile(lattice, d).values == expected
+
+
+def reverse_pass_modulus(a):
+    """D2: the gcd of the minors of the reverse-order Bareiss pass over a's head."""
+    head = [a.row(i)[:-1] for i in range(a.rows)]
+    return gcd(*_fraction_free(ZMatrix.from_rows(head[::-1], cols=a.cols - 1))[2])
+
+
+@SETTINGS
+@given(st.sampled_from([6, 10**6]).flatmap(lambda bound: homogeneous_rows(max_s=6, bound=bound)))
+@example((1, []))
+@example((2, [[0, 0], [5, -5]]))
+def test_corank_one_basis_matches_hermite_basis(case):
+    s, rows = case
+    lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
+    assert lattice.basis == hermite_basis(lattice.generators)
+    if lattice.rank == s - 1:
+        assert _corank_one_basis(lattice.generators) == lattice.basis
+        assert reverse_pass_modulus(lattice.generators) % lattice.degree() == 0
+
+
+@pytest.mark.parametrize("rows, s, modulus", [
+    ([], 1, 0),  # s = 1: no columns left, so the exact loop runs
+    ([[0], [0]], 1, 0),
+    ([[3, -3]], 2, 3),  # s = 2
+    ([[4, -4], [0, 0], [6, -6]], 2, 2),
+    ([[2, -1, 0, -1], [1, 3, -4, 0], [0, 2, 1, -3]], 4, 23),  # exactly s - 1 rows
+    ([[0, 0, 0], [2, -1, -1], [0, 0, 0], [1, 3, -4]], 3, 7),  # zero rows
+    ([[1, -1, 0], [0, 1, -1], [3, 5, -8]], 3, 1),  # D2 = 1: every pivot is 1
+    ([[2, -4, 2], [1, 0, -1], [3, 0, -3]], 3, 12),  # D2 = 3 * degree
+    # column 1 is zero mod R = 5 after the first pivot, so it gets the pivot R
+    ([[1, 0, -1], [0, 5, -5]], 3, 5),
+    # the entry 2 left in column 1 is zero mod R = 4 // 2, so the pivot is R
+    ([[2, 0, -2], [0, 2, -2]], 3, 4),
+    ([[10**6, -(10**6) + 1, -1], [999_999, 10**6, -1_999_999]], 3, 1_999_998_000_001),
+])
+def test_corank_one_basis_cases(rows, s, modulus):
+    a = ZMatrix.from_rows(rows, cols=s)
+    lattice = HomogeneousLattice(a)
+    assert lattice.rank == s - 1
+    if modulus is not None:
+        assert reverse_pass_modulus(a) == modulus
+    assert _corank_one_basis(a) == lattice.basis == hermite_basis(a)
+    if s > 1:
+        assert lattice.normalized_volume() == lattice.degree()

@@ -164,6 +164,18 @@ def test_budget_enforced():
     assert exc.value.budget == 1000
 
 
+def test_corank_one_budget_bounds_residue_steps(example2):
+    # at rank s - 1 the search visits at most |T| = 90 cosets, s = 3 steps each
+    with pytest.raises(BudgetExceeded) as exc:
+        hilbert_profile(example2, 2100, budget=269)
+    assert exc.value.needed == 270
+    assert hilbert_profile(example2, 2100, budget=270).values[-1] == 90
+    # below that the monomial count is smaller and stays the bound
+    with pytest.raises(BudgetExceeded) as exc:
+        hilbert_profile(example2, 20, budget=200)
+    assert exc.value.needed == comb(22, 2)
+
+
 def test_profile_rejects_negative_degree(example2):
     with pytest.raises(ValueError):
         hilbert_profile(example2, -1)

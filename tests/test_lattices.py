@@ -18,6 +18,7 @@ from latdeg import (
     hilbert_profile,
     mat_mul,
 )
+from latdeg import intmat, lattices
 
 EXAMPLE2_ROWS = [[18, -18, 0], [45, 0, -45], [0, 10, -10]]
 EXAMPLE1_ROWS = [
@@ -198,6 +199,34 @@ def test_normalized_volume_examples(example2):
     assert example2.normalized_volume() == 90
     for n in (2, 3, 7):
         assert HomogeneousLattice.from_rows([[n, -n]]).normalized_volume() == n
+
+
+@pytest.mark.parametrize("bad", [7, 30])
+def test_degree_and_volume_use_independent_moduli(monkeypatch, bad):
+    """A wrong modulus in one route shows as degree != normalized_volume.
+
+    ``bad`` is not a multiple of the degree 90.  Patching the Hermite
+    modulus leaves the degree right and the volume wrong, and patching
+    the Smith modulus does the opposite, so neither route reads the
+    other's modulus.
+    """
+
+    def with_modulus(elimination):
+        def run(a, track, modulus=0):
+            return elimination(a, track, bad if modulus else 0)
+
+        return run
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lattices, "_hermite_elimination", with_modulus(intmat._hermite_elimination))
+        lattice = HomogeneousLattice.from_rows(EXAMPLE2_ROWS)
+        assert lattice.degree() == 90
+        assert lattice.normalized_volume() != 90
+    with monkeypatch.context() as patch:
+        patch.setattr(intmat, "_smith_elimination", with_modulus(intmat._smith_elimination))
+        lattice = HomogeneousLattice.from_rows(EXAMPLE2_ROWS)
+        assert lattice.normalized_volume() == 90
+        assert lattice.degree() != 90
 
 
 def test_volume_equals_degree_random_suite():
