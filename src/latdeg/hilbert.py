@@ -16,7 +16,7 @@ counts then recover the degree without any reference to the Smith form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 from .errors import BudgetExceeded, DomainError, NotStabilized
 from .lattices import HomogeneousLattice
@@ -119,8 +119,9 @@ def hilbert_profile(
     That ball holds at most C(d_max + s - 1, s - 1) cosets, one per
     exponent vector of degree d_max.  At rank s - 1 the steps stay in a
     finite group of order |T|, the torsion order, so the search takes at
-    most |T| * s residue steps.  The smaller bound must stay within
-    ``budget``; |T| is read for this bound only, never for the counts.
+    most |T| * s residue steps, plus d_max + 1 values to write out.  The
+    smaller bound must stay within ``budget``; |T| is read for this
+    bound only, never for the counts.
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
@@ -132,9 +133,9 @@ def hilbert_profile(
     needed = comb(d_max + s - 1, s - 1)
     what = "estimated monomial count"
     if lattice.rank == s - 1:
-        steps = prod(lattice.invariant_factors) * s
+        steps = lattice.degree() * s + d_max + 1
         if steps < needed:
-            needed, what = steps, "coset search steps"
+            needed, what = steps, "coset search work"
     if needed > budget:
         raise BudgetExceeded(needed, budget, what=what)
     return _make_profile(_ball_sizes(lattice, d_max), window=max(3, s))

@@ -406,6 +406,17 @@ def smith_invariants(a: ZMatrix) -> tuple[int, ...]:
     return _smith_elimination(a, track=False, modulus=modulus)[0][:rank]
 
 
+def _reverse_pass_modulus(a: ZMatrix) -> int:
+    """The gcd of the minors a Bareiss pass over the rows of ``a`` in reverse order leaves.
+
+    For a full-rank row lattice this is a multiple of its index, a
+    modulus for :func:`_hermite_elimination` that shares no pass with
+    the Smith modulus of :func:`smith_invariants`.  It is 0 at rank 0.
+    """
+    _rank, _pivot, minors = _fraction_free(ZMatrix.from_rows(a.to_rows()[::-1], cols=a.cols))
+    return gcd(*minors)
+
+
 def _hermite_elimination(a: ZMatrix, track: bool, modulus: int = 0):
     """The Hermite elimination loop shared by both Hermite entry points.
 

@@ -25,8 +25,8 @@ from .errors import DimensionMismatch, DomainError, NotHomogeneous, RankMismatch
 from .intmat import (
     SmithDecomposition,
     ZMatrix,
-    _fraction_free,
     _hermite_elimination,
+    _reverse_pass_modulus,
     determinant,
     hermite_basis,
     smith_invariants,
@@ -59,11 +59,8 @@ def _corank_one_basis(generators: ZMatrix) -> ZMatrix:
     gcd of the minors of a Bareiss pass over L' in reverse row order.
     """
     s = generators.cols
-    head = [generators.row(i)[:-1] for i in range(generators.rows)]
-    _rank, _pivot, minors = _fraction_free(ZMatrix.from_rows(head[::-1], cols=s - 1))
-    h, _t, _r = _hermite_elimination(
-        ZMatrix.from_rows(head, cols=s - 1), track=False, modulus=gcd(*minors)
-    )
+    head = ZMatrix.from_rows([generators.row(i)[:-1] for i in range(generators.rows)], cols=s - 1)
+    h, _t, _r = _hermite_elimination(head, track=False, modulus=_reverse_pass_modulus(head))
     return ZMatrix.from_rows([row + [-sum(row)] for row in h[: s - 1]], cols=s)
 
 

@@ -26,8 +26,7 @@ from latdeg import (
     smith_invariants,
     smith_normal_form,
 )
-from latdeg.intmat import _fraction_free
-from latdeg.lattices import _corank_one_basis
+from latdeg.intmat import _fraction_free, _reverse_pass_modulus
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -213,10 +212,9 @@ def test_profile_matches_pairwise_counts(case, d):
     assert hilbert_profile(lattice, d).values == expected
 
 
-def reverse_pass_modulus(a):
-    """D2: the gcd of the minors of the reverse-order Bareiss pass over a's head."""
-    head = [a.row(i)[:-1] for i in range(a.rows)]
-    return gcd(*_fraction_free(ZMatrix.from_rows(head[::-1], cols=a.cols - 1))[2])
+def head_modulus(rows, s):
+    """D2 of the lattice L' that the rows span without their last column."""
+    return _reverse_pass_modulus(ZMatrix.from_rows([row[:-1] for row in rows], cols=s - 1))
 
 
 @SETTINGS
@@ -228,8 +226,7 @@ def test_corank_one_basis_matches_hermite_basis(case):
     lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
     assert lattice.basis == hermite_basis(lattice.generators)
     if lattice.rank == s - 1:
-        assert _corank_one_basis(lattice.generators) == lattice.basis
-        assert reverse_pass_modulus(lattice.generators) % lattice.degree() == 0
+        assert head_modulus(rows, s) % lattice.degree() == 0
 
 
 @pytest.mark.parametrize("rows, s, modulus", [
@@ -248,11 +245,9 @@ def test_corank_one_basis_matches_hermite_basis(case):
     ([[10**6, -(10**6) + 1, -1], [999_999, 10**6, -1_999_999]], 3, 1_999_998_000_001),
 ])
 def test_corank_one_basis_cases(rows, s, modulus):
-    a = ZMatrix.from_rows(rows, cols=s)
-    lattice = HomogeneousLattice(a)
+    lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
     assert lattice.rank == s - 1
-    if modulus is not None:
-        assert reverse_pass_modulus(a) == modulus
-    assert _corank_one_basis(a) == lattice.basis == hermite_basis(a)
+    assert head_modulus(rows, s) == modulus
+    assert lattice.basis == hermite_basis(lattice.generators)
     if s > 1:
         assert lattice.normalized_volume() == lattice.degree()

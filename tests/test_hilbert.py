@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -165,15 +166,28 @@ def test_budget_enforced():
 
 
 def test_corank_one_budget_bounds_residue_steps(example2):
-    # at rank s - 1 the search visits at most |T| = 90 cosets, s = 3 steps each
+    # at rank s - 1 the search visits at most |T| = 90 cosets, s = 3 steps
+    # each, and writes d_max + 1 = 2101 values
     with pytest.raises(BudgetExceeded) as exc:
-        hilbert_profile(example2, 2100, budget=269)
-    assert exc.value.needed == 270
-    assert hilbert_profile(example2, 2100, budget=270).values[-1] == 90
+        hilbert_profile(example2, 2100, budget=2370)
+    assert exc.value.needed == 2371
+    assert hilbert_profile(example2, 2100, budget=2371).values[-1] == 90
     # below that the monomial count is smaller and stays the bound
     with pytest.raises(BudgetExceeded) as exc:
         hilbert_profile(example2, 20, budget=200)
     assert exc.value.needed == comb(22, 2)
+    # 10**6 + 1 output values alone exceed the budget, and the refusal
+    # comes before the profile is built (as for d_max = 10**9 under the
+    # default budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            hilbert_profile(example2, 10**6, budget=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.needed == 270 + 10**6 + 1
+    assert peak < 2**20
 
 
 def test_profile_rejects_negative_degree(example2):
