@@ -7,6 +7,11 @@ with exact integer linear algebra, without unimodular transforms, and
 ships three independent brute-force oracles that confirm it at desk
 scale: coset counting by degree, point enumeration over prime fields,
 and spanning-tree enumeration for graph Laplacians.
+
+Reports and specs are immutable records (``latdeg._record``), which
+keep :mod:`dataclasses` and its :mod:`inspect` off the import path of
+every CLI process.  Importing the package loads every layer eagerly;
+the benchmark's tracer wraps only the submodules already imported.
 """
 
 from .applications import (

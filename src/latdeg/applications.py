@@ -7,15 +7,19 @@ its own elementary counting oracle:
   the lattice degree must equal the number of distinct points; and
 * graph Laplacian row lattices, where the degree must equal the number
   of spanning trees (and the reduced-Laplacian determinant).
+
+Specs and reports are immutable records; the two specs normalise and
+validate their fields in ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
+from operator import index
 from typing import Sequence
 
+from ._record import Record
 from .errors import BudgetExceeded, Disconnected, DomainError, FormatError, NonPrimeField
 from .intmat import ZMatrix, _content_lines, determinant, integer_kernel
 from .lattices import HomogeneousLattice
@@ -79,8 +83,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ToricSetSpec:
+class ToricSetSpec(Record):
     """Prime field size q and exponent vectors defining a projective set.
 
     The set consists of the projective points whose coordinates are the
@@ -94,7 +97,7 @@ class ToricSetSpec:
     def __post_init__(self):
         if not _is_prime(self.q):
             raise NonPrimeField(self.q)
-        exps = tuple(tuple(int(e) for e in v) for v in self.exponents)
+        exps = tuple(tuple(map(index, v)) for v in self.exponents)
         object.__setattr__(self, "exponents", exps)
         if len(exps) < 1:
             raise ValueError("need at least one exponent vector")
@@ -161,8 +164,7 @@ def enumerate_toric_set(spec: ToricSetSpec, budget: int = POINT_BUDGET) -> set[t
     return {_point(spec, x) for x in itertools.product(range(1, q), repeat=n)}
 
 
-@dataclass(frozen=True)
-class VanishingCheck:
+class VanishingCheck(Record):
     lattice_degree: int
     point_count: int
     agree: bool
@@ -175,8 +177,7 @@ def check_vanishing_degree(spec: ToricSetSpec, budget: int = POINT_BUDGET) -> Va
     return VanishingCheck(lattice_degree=deg, point_count=count, agree=deg == count)
 
 
-@dataclass(frozen=True)
-class CiHypothesisCheck:
+class CiHypothesisCheck(Record):
     """Whether the complete-intersection criterion's hypotheses hold.
 
     When q-1 is prime, the exponent vectors are pairwise distinct mod
@@ -215,8 +216,7 @@ def ci_hypothesis_check(spec: ToricSetSpec) -> CiHypothesisCheck:
     )
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(Record):
     """Connected simple undirected graph on vertices 0..vertex_count-1."""
 
     vertex_count: int
@@ -311,8 +311,7 @@ def spanning_tree_count(g: GraphSpec) -> int:
     )
 
 
-@dataclass(frozen=True)
-class SandpileCheck:
+class SandpileCheck(Record):
     degree: int
     spanning_trees: int
     reduced_laplacian_det: int

@@ -4,12 +4,13 @@ Subcommands map onto the library one-to-one; ``--json`` switches every
 command to machine-readable output in which unbounded integers are
 decimal strings.  Exit status: 0 on success, 1 when the inputs are
 outside an operation's mathematical domain, 2 on usage or parse errors.
+Each command is a fresh process that pays for every module it imports,
+so :mod:`json` is imported only when ``--json`` output is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -113,6 +114,8 @@ def _read_lattice(path: str) -> HomogeneousLattice:
 
 
 def _emit(payload: dict) -> int:
+    import json  # here, not at the top: text output does not need it
+
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -11,13 +11,14 @@ Cayley graph of the quotient group with those steps.  One breadth-first
 search over cosets, each named by its canonical residue under the
 lattice's Hermite basis, gives every count.  Finite differences of the
 counts then recover the degree without any reference to the Smith form.
+The profile and the side-by-side check are immutable records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import Record
 from .errors import BudgetExceeded, DomainError, NotStabilized
 from .lattices import HomogeneousLattice
 
@@ -33,8 +34,7 @@ __all__ = [
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(Record):
     """Coset counts H(0..d_max) plus what their finite differences certify.
 
     ``stabilization_degree`` is the first degree from which the observed
@@ -148,8 +148,7 @@ def oracle_degree(profile: HilbertProfile) -> int:
     return profile.degree_estimate
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
+class DegreeCheck(Record):
     """Side-by-side result of the invariant-factor formula and the counter."""
 
     snf_degree: int

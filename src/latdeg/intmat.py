@@ -4,7 +4,9 @@ Everything here runs over Python's unbounded integers: Smith and Hermite
 normal forms with unimodular transform tracking, the same eliminations
 without transforms (invariant factors and Hermite bases only),
 fraction-free determinants, and integer kernels.  No floating point, no
-fixed-width arithmetic anywhere.
+fixed-width arithmetic anywhere: a matrix takes its entries through
+``operator.index``, so a float or a string is refused, never truncated.
+The transform-tracking forms come back as immutable records.
 
 The invariant factors alone are computed modulo D, the gcd of the r x r
 minors (r the rank) that one Bareiss pass already produces; that pass
@@ -17,10 +19,11 @@ Hermite functions run it exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import DimensionMismatch, FormatError, NonSquare
 
 __all__ = [
@@ -42,8 +45,10 @@ __all__ = [
 class ZMatrix:
     """Dense integer matrix, stored row-major, immutable by convention.
 
-    Entries are plain Python ints, so magnitudes are unbounded.  Empty
-    matrices (zero rows and/or columns) are allowed.
+    Entries are plain Python ints, so magnitudes are unbounded; an entry
+    that is not an integer (a float, a string) raises ``TypeError``
+    instead of being truncated or parsed.  Empty matrices (zero rows
+    and/or columns) are allowed.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -51,7 +56,7 @@ class ZMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        data = tuple(int(x) for x in entries)
+        data = tuple(map(index, entries))
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
         self.rows = rows
@@ -123,8 +128,7 @@ class ZMatrix:
             f"ZMatrix({self.rows}, {self.cols}, ())"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """Unimodular u, v and diagonal d with u @ a @ v == d.
 
     The diagonal of ``d`` is ``invariant_factors`` (each positive, each
@@ -139,8 +143,7 @@ class SmithDecomposition:
     rank: int
 
 
-@dataclass(frozen=True)
-class HermiteForm:
+class HermiteForm(Record):
     """Row-style upper echelon form with transform @ a == h.
 
     Pivots are positive, move strictly right row by row, and entries

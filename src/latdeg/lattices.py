@@ -12,15 +12,18 @@ and element-order queries by integer reduction, canonical coset
 representatives, the simplex-volume reading of the degree (its Bareiss
 determinant), and an upper bound for where the associated counting
 function goes constant.  The Smith decomposition with transforms, used
-only by Smith coordinates, is computed on first use.
+only by Smith coordinates, is computed on first use.  Query vectors
+must hold integers (``operator.index``); the torsion structure is an
+immutable record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
+from operator import index
 from typing import Sequence
 
+from ._record import Record
 from .errors import DimensionMismatch, DomainError, NotHomogeneous, RankMismatch
 from .intmat import (
     SmithDecomposition,
@@ -36,8 +39,7 @@ from .intmat import (
 __all__ = ["HomogeneousLattice", "TorsionStructure"]
 
 
-@dataclass(frozen=True)
-class TorsionStructure:
+class TorsionStructure(Record):
     """Cyclic decomposition of the torsion subgroup of Z^s modulo the lattice.
 
     ``cyclic_factors`` are the invariant factors with the trivial 1s
@@ -141,7 +143,7 @@ class HomogeneousLattice:
         s = self.ambient_dim
         if len(v) != s:
             raise DimensionMismatch(f"vector has length {len(v)}, expected {s}")
-        return [int(x) for x in v]
+        return list(map(index, v))
 
     def contains(self, v: Sequence[int]) -> bool:
         """True iff ``v`` lies in the integer row span of the generators."""

@@ -39,6 +39,11 @@ def torus_spec(q, s):
     )
 
 
+def test_toric_spec_refuses_non_integer_exponents():
+    with pytest.raises(TypeError):
+        ToricSetSpec(q=5, exponents=((1.5,), (2,)))
+
+
 def test_toric_lattice_hand_example():
     spec = ToricSetSpec(q=3, exponents=((1,), (2,)))
     lat = build_toric_lattice(spec)

@@ -45,6 +45,12 @@ def check_decomposition(a, dec):
     assert dec.rank == len(dec.invariant_factors)
 
 
+@pytest.mark.parametrize("entry", [2.0, 0.5, "3", None])
+def test_non_integer_entries_are_refused(entry):
+    with pytest.raises(TypeError):
+        ZMatrix.from_rows([[1, entry]])
+
+
 def test_smith_example2_matrix():
     dec = smith_normal_form(EXAMPLE2)
     assert dec.invariant_factors == (1, 90)

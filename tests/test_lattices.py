@@ -95,6 +95,19 @@ def test_element_order_examples(example3):
     assert example3.element_order([1, 0, -1]) is None
 
 
+def test_non_integer_coordinates_are_refused():
+    # int() would truncate 0.5 to 0 and 1.9 to 1, and parse "2"
+    lat = HomogeneousLattice.from_rows([[2, -2]])
+    with pytest.raises(TypeError):
+        lat.contains([0.5, -0.5])
+    with pytest.raises(TypeError):
+        lat.element_order([1.9, -1.9])
+    with pytest.raises(TypeError):
+        lat.residue(["2", "-2"])
+    with pytest.raises(TypeError):
+        HomogeneousLattice.from_rows([[0.5, -0.5]])
+
+
 def test_element_order_is_minimal_witness():
     rng = random.Random(11)
     checked = 0
