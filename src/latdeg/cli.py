@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands map onto the library one-to-one; ``--json`` switches every
-command to machine-readable output in which unbounded integers are
-decimal strings.  Exit status: 0 on success, 1 when the inputs are
+Subcommands map onto the library one-to-one.  Each builds its report
+once, and one renderer prints it as text or, under ``--json``, as JSON
+in which unbounded integers are decimal strings; ``emit`` prints its
+script either way.  Exit status: 0 on success, 1 when the inputs are
 outside an operation's mathematical domain, 2 on usage or parse errors.
 Each command is a fresh process that pays for every module it imports,
 so :mod:`json` is imported only when ``--json`` output is written.
@@ -15,8 +16,8 @@ import sys
 from typing import Sequence
 
 from . import __version__
+from ._record import Record
 from .applications import (
-    GraphSpec,
     check_sandpile_degree,
     check_vanishing_degree,
     ci_hypothesis_check,
@@ -85,18 +86,67 @@ def _maple_script(lattice: HomogeneousLattice) -> str:
     return f"with(LinearAlgebra):\n{matrix}\nSmithForm(A);\n"
 
 
+# JSON keys whose integers stay numbers: sizes, ranks and degree indices.
+# Any other integer may be unbounded, so it is written as a decimal string.
+_NUMERIC_KEYS = frozenset(("rows", "cols", "rank", "ambient_dim", "regularity_upper_bound",
+                           "regularity_bound", "stabilization_degree", "observed_stabilization",
+                           "krull_dim_estimate"))
+
+
+def _json_value(key: str, value):
+    """``value`` as JSON under ``key``, recursing through lists and records."""
+    if isinstance(value, (tuple, list)):
+        return [_json_value(key, item) for item in value]
+    if isinstance(value, Record):
+        return {name: _json_value(name, getattr(value, name)) for name in value._fields}
+    return str(value) if type(value) is int and key not in _NUMERIC_KEYS else value
+
+
+def _json_object(fields: list) -> dict:
+    return {key: _json_value(key, value) for key, _label, value in fields if key is not None}
+
+
+def _render(fields: list, as_json: bool) -> None:
+    """Print a report of ``(JSON key, text label, value)`` fields, in order.
+
+    A field without a key is text only, one without a label JSON only, and
+    one with neither a block of text.  Text prints ``label value`` lines.
+    """
+    if as_json:
+        import json  # here, not at the top: text output does not need it
+        print(json.dumps(_json_object(fields), indent=2))
+        return
+    for key, label, value in fields:
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, tuple):
+            value = " ".join(map(str, value))
+        if label is not None:
+            print(label, value)
+        elif key is None:
+            sys.stdout.write(value)
+
+
+def _record_fields(record: Record) -> list:
+    """A report record's fields, keyed by name and labelled with the name spaced out."""
+    return [(key, key.replace("_", " "), getattr(record, key)) for key in record._fields]
+
+
+def _summary_fields(lattice: HomogeneousLattice) -> list:
+    corank_one = lattice.rank == lattice.ambient_dim - 1
+    return [
+        ("ambient_dim", None, lattice.ambient_dim),
+        ("rank", None, lattice.rank),
+        ("invariant_factors", None, lattice.invariant_factors),
+        ("torsion_order", None, lattice.torsion_structure().order),
+        ("degree", None, lattice.degree() if corank_one else None),
+        ("regularity_upper_bound", None, lattice.regularity_upper_bound() if corank_one else None),
+    ]
+
+
 def lattice_summary(lattice: HomogeneousLattice) -> dict:
     """The JSON report shared by the degree and torsion subcommands."""
-    corank_one = lattice.rank == lattice.ambient_dim - 1
-    torsion = lattice.torsion_structure()
-    return {
-        "ambient_dim": lattice.ambient_dim,
-        "rank": lattice.rank,
-        "invariant_factors": [str(f) for f in lattice.invariant_factors],
-        "torsion_order": str(torsion.order),
-        "degree": str(lattice.degree()) if corank_one else None,
-        "regularity_upper_bound": lattice.regularity_upper_bound() if corank_one else None,
-    }
+    return _json_object(_summary_fields(lattice))
 
 
 def _read_text(path: str) -> str:
@@ -113,175 +163,79 @@ def _read_lattice(path: str) -> HomogeneousLattice:
     return HomogeneousLattice(parse_matrix(_read_text(path)))
 
 
-def _emit(payload: dict) -> int:
-    import json  # here, not at the top: text output does not need it
-
-    print(json.dumps(payload, indent=2))
-    return 0
-
-
-def _cmd_snf(args) -> int:
+def _cmd_snf(args) -> list:
     a = parse_matrix(_read_text(args.input))
     factors = smith_invariants(a)
-    if args.json:
-        return _emit(
-            {
-                "rows": a.rows,
-                "cols": a.cols,
-                "rank": len(factors),
-                "invariant_factors": [str(f) for f in factors],
-            }
-        )
-    print(f"rank {len(factors)}")
-    print("invariant factors " + " ".join(str(f) for f in factors))
-    return 0
+    return [("rows", None, a.rows), ("cols", None, a.cols), ("rank", "rank", len(factors)),
+            ("invariant_factors", "invariant factors", factors)]
 
 
-def _cmd_hnf(args) -> int:
+def _cmd_hnf(args) -> list:
     a = parse_matrix(_read_text(args.input))
     basis = hermite_basis(a)
     h = ZMatrix.from_rows(basis.to_rows() + [[0] * a.cols] * (a.rows - basis.rows), cols=a.cols)
-    if args.json:
-        return _emit(
-            {
-                "rank": basis.rows,
-                "h": [[str(x) for x in h.row(i)] for i in range(h.rows)],
-            }
-        )
-    print(f"rank {basis.rows}")
-    sys.stdout.write(format_matrix(h))
-    return 0
+    return [("rank", "rank", basis.rows), ("h", None, h.to_rows()), (None, None, format_matrix(h))]
 
 
-def _cmd_degree(args) -> int:
+def _cmd_degree(args) -> list:
     lattice = _read_lattice(args.input)
-    deg = lattice.degree()
-    if args.json:
-        return _emit(lattice_summary(lattice))
-    print(f"degree {deg}")
-    return 0
+    # the degree first: it refuses a rank other than s-1, in JSON too
+    return [(None, "degree", lattice.degree()), *_summary_fields(lattice)]
 
 
-def _cmd_torsion(args) -> int:
+def _cmd_torsion(args) -> list:
     lattice = _read_lattice(args.input)
     torsion = lattice.torsion_structure()
-    if args.json:
-        return _emit(lattice_summary(lattice))
-    print(f"torsion order {torsion.order}")
-    print(
-        "cyclic factors "
-        + (" ".join(str(f) for f in torsion.cyclic_factors) if torsion.cyclic_factors else "none")
-    )
-    print(f"free rank {torsion.free_rank}")
-    return 0
+    return [
+        (None, "torsion order", torsion.order),
+        (None, "cyclic factors", torsion.cyclic_factors or "none"),
+        (None, "free rank", torsion.free_rank),
+        *_summary_fields(lattice),
+    ]
 
 
-def _cmd_hilbert(args) -> int:
-    lattice = _read_lattice(args.input)
-    profile = hilbert_profile(lattice, args.max_degree, budget=args.budget)
-    if args.json:
-        return _emit(
-            {
-                "values": [str(v) for v in profile.values],
-                "stabilization_degree": profile.stabilization_degree,
-                "degree_estimate": (
-                    str(profile.degree_estimate) if profile.degree_estimate is not None else None
-                ),
-                "krull_dim_estimate": profile.krull_dim_estimate,
-            }
-        )
-    for d, value in enumerate(profile.values):
-        print(f"{d} {value}")
-    if profile.degree_estimate is not None:
-        stab = (
-            f"values constant from degree {profile.stabilization_degree}"
-            if profile.stabilization_degree is not None
-            else "values still growing"
-        )
-        print(
-            f"degree estimate {profile.degree_estimate} "
-            f"(difference order {profile.krull_dim_estimate - 1}); {stab}"
-        )
+def _cmd_hilbert(args) -> list:
+    profile = hilbert_profile(_read_lattice(args.input), args.max_degree, budget=args.budget)
+    fields = [(None, d, value) for d, value in enumerate(profile.values)]
+    if profile.degree_estimate is None:
+        fields.append((None, "no constant finite difference up to degree", args.max_degree))
     else:
-        print(f"no constant finite difference up to degree {args.max_degree}")
-    return 0
+        stab = "values still growing"
+        if profile.stabilization_degree is not None:
+            stab = f"values constant from degree {profile.stabilization_degree}"
+        order = profile.krull_dim_estimate - 1
+        estimate = f"{profile.degree_estimate} (difference order {order}); {stab}"
+        fields.append((None, "degree estimate", estimate))
+    return fields + [(key, None, getattr(profile, key)) for key in profile._fields]
 
 
-def _cmd_verify(args) -> int:
-    lattice = _read_lattice(args.input)
-    check = verify_degree(lattice, budget=args.budget)
-    if args.json:
-        return _emit(
-            {
-                "snf_degree": str(check.snf_degree),
-                "oracle_degree": str(check.oracle_degree),
-                "regularity_bound": check.regularity_bound,
-                "observed_stabilization": check.observed_stabilization,
-                "agree": check.agree,
-            }
-        )
-    print(f"snf degree {check.snf_degree}")
-    print(f"oracle degree {check.oracle_degree}")
-    print(f"regularity bound {check.regularity_bound}")
-    print(f"observed stabilization {check.observed_stabilization}")
-    print(f"agree {str(check.agree).lower()}")
-    return 0
+def _cmd_verify(args) -> list:
+    return _record_fields(verify_degree(_read_lattice(args.input), budget=args.budget))
 
 
-def _cmd_toric(args) -> int:
+def _cmd_toric(args) -> list:
     spec = parse_toric_spec(_read_text(args.input))
     vanishing = check_vanishing_degree(spec, budget=args.budget)
     ci = ci_hypothesis_check(spec)
-    if args.json:
-        return _emit(
-            {
-                "lattice_degree": str(vanishing.lattice_degree),
-                "point_count": str(vanishing.point_count),
-                "agree": vanishing.agree,
-                "ci": {
-                    "q_minus_1_prime": ci.q_minus_1_prime,
-                    "exponents_distinct_mod": ci.exponents_distinct_mod,
-                    "torsion_is_power": ci.torsion_is_power,
-                    "corollary_applies": ci.corollary_applies,
-                    "predicted_generators": ci.predicted_generators,
-                },
-            }
-        )
-    print(f"lattice degree {vanishing.lattice_degree}")
-    print(f"point count {vanishing.point_count}")
-    print(f"agree {str(vanishing.agree).lower()}")
-    print(f"q-1 prime {str(ci.q_minus_1_prime).lower()}")
-    print(f"exponents distinct mod q-1 {str(ci.exponents_distinct_mod).lower()}")
-    print(f"torsion is a (q-1)-power {str(ci.torsion_is_power).lower()}")
-    print(f"ci criterion applies {str(ci.corollary_applies).lower()}")
+    fields = [
+        *_record_fields(vanishing),
+        ("ci", None, ci),
+        (None, "q-1 prime", ci.q_minus_1_prime),
+        (None, "exponents distinct mod q-1", ci.exponents_distinct_mod),
+        (None, "torsion is a (q-1)-power", ci.torsion_is_power),
+        (None, "ci criterion applies", ci.corollary_applies),
+    ]
     if ci.predicted_generators:
-        print(f"predicted generators {ci.predicted_generators}")
-    return 0
+        fields.append((None, "predicted generators", ci.predicted_generators))
+    return fields
 
 
-def _cmd_sandpile(args) -> int:
-    graph = parse_graph(_read_text(args.input))
-    check = check_sandpile_degree(graph)
-    if args.json:
-        return _emit(
-            {
-                "degree": str(check.degree),
-                "spanning_trees": str(check.spanning_trees),
-                "reduced_laplacian_det": str(check.reduced_laplacian_det),
-                "agree": check.agree,
-            }
-        )
-    print(f"degree {check.degree}")
-    print(f"spanning trees {check.spanning_trees}")
-    print(f"reduced laplacian det {check.reduced_laplacian_det}")
-    print(f"agree {str(check.agree).lower()}")
-    return 0
+def _cmd_sandpile(args) -> list:
+    return _record_fields(check_sandpile_degree(parse_graph(_read_text(args.input))))
 
 
-def _cmd_emit(args) -> int:
-    lattice = _read_lattice(args.input)
-    sys.stdout.write(emit_cas_script(lattice, args.format))
-    return 0
+def _cmd_emit(args) -> None:
+    sys.stdout.write(emit_cas_script(_read_lattice(args.input), args.format))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="target computer-algebra system (default %(default)s)",
             )
         p.set_defaults(func=func)
-        return p
 
     add("snf", _cmd_snf, "Smith normal form of a matrix", "matrix file")
     add("hnf", _cmd_hnf, "Hermite normal form of a matrix", "matrix file")
@@ -369,14 +322,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "max_degree", 0) < 0:
         parser.error("--max-degree must be nonnegative")
     try:
-        return args.func(args)
+        report = args.func(args)
+        if report is not None:
+            _render(report, args.json)
+        return 0
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,6 +63,10 @@ class ZMatrix:
         self.cols = cols
         self.entries = data
 
+    def __reduce__(self):
+        # __slots__ without __getstate__ defeats pickle protocols 0 and 1
+        return (ZMatrix, (self.rows, self.cols, self.entries))
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "ZMatrix":
         """Build from a sequence of rows; ``cols`` disambiguates the empty case."""

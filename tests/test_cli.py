@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -17,7 +18,10 @@ EXAMPLE1 = """4 5
 """
 EXAMPLE2 = "3 3\n18 -18 0\n45 0 -45\n0 10 -10\n"
 EXAMPLE3 = "1 3\n-1 2 -1\n"
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+# [exit code, first 16 hex digits of the stdout SHA-256] of each benchmark command line
+CLI_PINS = json.loads((ROOT / "bench" / "pins.json").read_text())["cli_data"]
 
 
 @pytest.fixture
@@ -322,3 +326,11 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, command, name):
     assert out == ""
     assert err.startswith(f"error: {path}: not UTF-8 text")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", sorted(CLI_PINS))
+def test_output_matches_the_benchmark_pin(key, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = main(key.split(" "))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert [code, digest] == CLI_PINS[key]

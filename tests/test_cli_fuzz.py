@@ -3,12 +3,16 @@
 Every subcommand is fed arbitrary bytes and text that is almost in its
 file format (a header plus integer tokens).  Whatever the input, ``main``
 must return exit status 0, 1 or 2 and raise nothing; the one exception
-allowed is argparse's ``SystemExit(2)``.  Header values and row counts
-are drawn from small ranges so that every example runs in milliseconds.
+allowed is argparse's ``SystemExit(2)``.  A successful ``--json`` run
+(``emit`` aside, which prints its script) must print valid JSON whose
+integers all sit under the renderer's numeric keys.  Header values and
+row counts are drawn from small ranges so that every example runs in
+milliseconds.
 """
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latdeg.cli import main
+from latdeg.cli import _NUMERIC_KEYS, main
 
 FUZZ = settings(
     max_examples=40,
@@ -117,7 +121,21 @@ def run_cli(command: str, data: bytes, json_flag: bool) -> int:
     assert code in (0, 1, 2), code
     if code:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+    elif json_flag and command != "emit":
+        assert_numbers_are_structural(None, json.loads(out.getvalue()))
     return code
+
+
+def assert_numbers_are_structural(key, value):
+    """Every int in a JSON payload sits under a numeric key; others are strings."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            assert_numbers_are_structural(name, item)
+    elif isinstance(value, list):
+        for item in value:
+            assert_numbers_are_structural(key, item)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        assert key in _NUMERIC_KEYS, (key, value)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -157,8 +157,7 @@ def test_assignment_and_deletion_raise(case):
 def test_pickle_and_copy_round_trips(case):
     cls, kwargs, values = case
     record = cls(**kwargs)
-    # protocols 0 and 1 cannot pickle the slotted ZMatrix fields
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(0, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is cls and back == record and repr(back) == repr(record)
     for clone in (copy.copy(record), copy.deepcopy(record)):
