@@ -14,7 +14,8 @@ is shared with the determinant.  Every one of the first r invariant
 factors divides D, so reducing mod D loses none of them, and entries
 stay below D instead of swelling.  The Hermite elimination also takes a
 modulus, a multiple of the index of a full-rank row lattice; the public
-Hermite functions run it exact.
+Hermite functions run it exact.  The block the pass leaves at three
+columns gives such a multiple from other minors, without a second pass.
 """
 
 from __future__ import annotations
@@ -181,14 +182,18 @@ def mat_mul(a: ZMatrix, b: ZMatrix) -> ZMatrix:
     return ZMatrix(a.rows, bc, out)
 
 
-def _fraction_free(a: ZMatrix) -> tuple[int, int, tuple[int, ...]]:
+def _fraction_free(a: ZMatrix) -> tuple[int, int, tuple[int, ...], tuple | None]:
     """One Bareiss fraction-free elimination pass over the rows of ``a``.
 
     Columns without a pivot are skipped, so any shape works.  Returns
     the rank r, the last pivot with the sign of the row swaps (for a
-    nonsingular square matrix, its determinant; 1 when r = 0), and the
-    entries of the pivot row and the pivot column at the r-th step.  By
-    Sylvester's identity each of those is an r x r minor of ``a``.
+    nonsingular square matrix, its determinant; 1 when r = 0), the
+    entries of the pivot row and the pivot column at the r-th step (by
+    Sylvester's identity each an r x r minor of ``a``), and the tail:
+    the rows at and below the next pivot when three columns remain, and
+    the last pivot p, or None if the pass never got there.  After k
+    pivots in k columns, each 3 x 3 minor of that block is p**2 times
+    the (k + 3) x (k + 3) minor of ``a`` on its rows and the pivot rows.
     """
     m, n = a.rows, a.cols
     mat = a.to_rows()
@@ -197,9 +202,12 @@ def _fraction_free(a: ZMatrix) -> tuple[int, int, tuple[int, ...]]:
     k = 0
     pivot_col: list[int] = []
     last = 0
+    tail = None
     for j in range(n):
         if k == m:
             break
+        if j == n - 3:
+            tail = [row[j:] for row in mat[k:]], prev
         swap = next((i for i in range(k, m) if mat[i][j]), None)
         if swap is None:
             continue
@@ -225,14 +233,14 @@ def _fraction_free(a: ZMatrix) -> tuple[int, int, tuple[int, ...]]:
         last = j
         k += 1
     minors = tuple(mat[k - 1][last:]) + tuple(pivot_col[1:]) if k else ()
-    return k, sign * prev, minors
+    return k, sign * prev, minors, tail
 
 
 def determinant(a: ZMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     if a.rows != a.cols:
         raise NonSquare(a.rows, a.cols)
-    rank, signed_pivot, _minors = _fraction_free(a)
+    rank, signed_pivot, _minors, _tail = _fraction_free(a)
     return signed_pivot if rank == a.rows else 0
 
 
@@ -287,15 +295,10 @@ def _smith_elimination(a: ZMatrix, track: bool, modulus: int = 0):
             for k in range(m):
                 ui[k] -= q * uj[k]
 
-    def col_sub(j, k, q):  # col j -= q * col k
-        if modulus:
-            for i in range(t, m):
-                row = d[i]
-                row[j] = (row[j] - q * row[k]) % modulus
-        else:
-            for i in range(t, m):
-                row = d[i]
-                row[j] -= q * row[k]
+    def col_sub(j, k, q):  # col j -= q * col k, in the rows where col k is nonzero
+        for row in d[t:]:
+            if row[k]:
+                row[j] = (row[j] - q * row[k]) % modulus if modulus else row[j] - q * row[k]
         if track:
             for row in v:
                 row[j] -= q * row[k]
@@ -404,24 +407,30 @@ def smith_invariants(a: ZMatrix) -> tuple[int, ...]:
     the elimination therefore stay below D, which is far smaller than
     the coefficient swell of the unreduced loop.
     """
-    rank, _pivot, minors = _fraction_free(a)
-    if rank == 0:
-        return ()
-    modulus = gcd(*minors)
-    if modulus == 1:
-        return (1,) * rank
-    return _smith_elimination(a, track=False, modulus=modulus)[0][:rank]
+    return _smith_pass(a)[0]
 
 
-def _reverse_pass_modulus(a: ZMatrix) -> int:
-    """The gcd of the minors a Bareiss pass over the rows of ``a`` in reverse order leaves.
+def _smith_pass(a: ZMatrix) -> tuple[tuple[int, ...], tuple | None]:
+    """:func:`smith_invariants` of ``a``, and the tail of its Bareiss pass."""
+    rank, _pivot, minors, tail = _fraction_free(a)
+    modulus = gcd(*minors)  # 0 at rank 0, which has no minors
+    if modulus <= 1:
+        return (1,) * rank, tail
+    return _smith_elimination(a, track=False, modulus=modulus)[0][:rank], tail
 
-    For a full-rank row lattice this is a multiple of its index, a
-    modulus for :func:`_hermite_elimination` that shares no pass with
-    the Smith modulus of :func:`smith_invariants`.  It is 0 at rank 0.
+
+def _tail_modulus(a: ZMatrix, tail: tuple | None) -> int:
+    """D2, a multiple of the index of the row lattice of ``a``, of full column rank n.
+
+    From the tail (B, p) of the pass over ``a``, or B = ``a`` and p = 1
+    when n < 3: the gcd of the minors a pass over the rows of B in
+    reverse order leaves, over p**2.  That is a gcd of n x n minors of
+    ``a``; with more than n rows, generically not those of the Smith
+    modulus.  It is 0 when n = 0.
     """
-    _rank, _pivot, minors = _fraction_free(ZMatrix.from_rows(a.to_rows()[::-1], cols=a.cols))
-    return gcd(*minors)
+    block, p = tail or (a.to_rows(), 1)
+    minors = _fraction_free(ZMatrix.from_rows(block[::-1], cols=min(a.cols, 3)))[2]
+    return gcd(*minors) // (p * p)
 
 
 def _hermite_elimination(a: ZMatrix, track: bool, modulus: int = 0):

@@ -5,11 +5,11 @@ every row has coordinate sum zero.  The degree path is transform-free:
 the invariant factors of the generators (a Smith elimination without
 unimodular transforms) give the rank and the torsion structure of the
 quotient group, and for lattices of rank one less than the ambient
-dimension the degree (the torsion order).  An independent Hermite
+dimension the degree (the torsion order).  A separate Hermite
 elimination, also without transform and at that rank modulo a gcd of
-minors of its own, gives the echelon basis that answers membership
-and element-order queries by integer reduction, canonical coset
-representatives, the simplex-volume reading of the degree (its Bareiss
+other minors from the tail of the same Bareiss pass, gives the echelon
+basis that answers membership and element-order queries by integer
+reduction, canonical coset representatives, the simplex-volume reading of the degree (its Bareiss
 determinant), and an upper bound for where the associated counting
 function goes constant.  The Smith decomposition with transforms, used
 only by Smith coordinates, is computed on first use.  Query vectors
@@ -29,10 +29,10 @@ from .intmat import (
     SmithDecomposition,
     ZMatrix,
     _hermite_elimination,
-    _reverse_pass_modulus,
+    _smith_pass,
+    _tail_modulus,
     determinant,
     hermite_basis,
-    smith_invariants,
     smith_normal_form,
 )
 
@@ -53,16 +53,15 @@ class TorsionStructure(Record):
     free_rank: int
 
 
-def _corank_one_basis(generators: ZMatrix) -> ZMatrix:
+def _corank_one_basis(head: ZMatrix, tail: tuple | None) -> ZMatrix:
     """:func:`hermite_basis` of homogeneous generators of rank s - 1, modulo D2.
 
-    Without its last coordinate (minus the row sum) the lattice is L',
-    of full rank in Z^(s-1), whose index (the degree) divides D2, the
-    gcd of the minors of a Bareiss pass over L' in reverse row order.
+    ``head`` is the generators without their last coordinate (minus the
+    row sum), and spans L', of full rank in Z^(s-1), whose index (the
+    degree) divides D2; ``tail`` is that of the Bareiss pass over it.
     """
-    s = generators.cols
-    head = ZMatrix.from_rows([generators.row(i)[:-1] for i in range(generators.rows)], cols=s - 1)
-    h, _t, _r = _hermite_elimination(head, track=False, modulus=_reverse_pass_modulus(head))
+    s = head.cols + 1
+    h, _t, _r = _hermite_elimination(head, track=False, modulus=_tail_modulus(head, tail))
     return ZMatrix.from_rows([row + [-sum(row)] for row in h[: s - 1]], cols=s)
 
 
@@ -75,11 +74,12 @@ class HomogeneousLattice:
     elimination for ``invariant_factors`` (rank, degree, torsion) and
     the Hermite elimination for ``basis``, the echelon basis that
     answers membership, element-order and coset queries with integer
-    reduction and gives the normalized volume.  The Smith elimination
-    works modulo the gcd of the minors of one Bareiss pass; at rank
-    s - 1 the Hermite elimination works modulo that of a second pass
-    over the rows in reverse order.  Degree and volume therefore come
-    from independent eliminations with independent moduli.  The Smith
+    reduction and gives the normalized volume.  One Bareiss pass over
+    the generators without their last column (same invariant factors)
+    gives the Smith modulus, the gcd of its minors; at rank s - 1 a
+    pass over the block it left at three columns, rows reversed, gives
+    the Hermite modulus.  Each elimination reads only its own modulus,
+    so degree and volume come from separate eliminations.  The Smith
     decomposition with transforms is computed on first access to
     :attr:`decomposition`.
     Instances are immutable (the cache is idempotent) and safe to share
@@ -95,11 +95,13 @@ class HomogeneousLattice:
             if total != 0:
                 raise NotHomogeneous(i, total)
         self.generators = generators
-        self.ambient_dim = generators.cols
-        self.invariant_factors = smith_invariants(generators)
+        self.ambient_dim = s = generators.cols
+        head = ZMatrix.from_rows([generators.row(i)[:-1] for i in range(generators.rows)],
+                                 cols=max(s - 1, 0))
+        self.invariant_factors, tail = _smith_pass(head)
         self.rank = len(self.invariant_factors)
-        if self.rank == self.ambient_dim - 1:
-            self.basis = _corank_one_basis(generators)
+        if self.rank == s - 1:
+            self.basis = _corank_one_basis(head, tail)
         else:
             self.basis = hermite_basis(generators)
         pivots = []

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import minors_invariant_factors, pairwise_coset_count
+from conftest import cofactor_det, minors_invariant_factors, pairwise_coset_count
 from latdeg import (
     HomogeneousLattice,
     ZMatrix,
@@ -26,7 +26,7 @@ from latdeg import (
     smith_invariants,
     smith_normal_form,
 )
-from latdeg.intmat import _fraction_free, _reverse_pass_modulus
+from latdeg.intmat import _fraction_free, _tail_modulus
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -73,15 +73,15 @@ def small_matrices(draw, max_dim=4, bound=9):
 
 
 @st.composite
-def homogeneous_rows(draw, max_s=5, bound=6):
+def homogeneous_rows(draw, max_s=5, bound=6, extra_rows=1):
     """(s, rows): generator rows of a homogeneous lattice in Z^s of any rank.
 
-    Rows are drawn as s-1 free entries in [-bound, bound] plus the
-    balancing last one, and zero rows are mixed in, so every rank from
-    0 to s-1 occurs.
+    Up to s + ``extra_rows`` rows are drawn as s-1 free entries in
+    [-bound, bound] plus the balancing last one, and zero rows are mixed
+    in, so every rank from 0 to s-1 occurs.
     """
     s = draw(st.integers(1, max_s))
-    m = draw(st.integers(0, s + 1))
+    m = draw(st.integers(0, s + extra_rows))
     rows = []
     for _ in range(m):
         if draw(st.booleans()) and draw(st.booleans()):
@@ -143,7 +143,7 @@ def test_smith_invariants_match_tracked_form_and_minors(a):
     assert factors == smith_normal_form(a).invariant_factors
     minors = minors_invariant_factors(a)
     assert list(factors) == minors
-    rank, _pivot, last_minors = _fraction_free(a)
+    rank, _pivot, last_minors, _tail = _fraction_free(a)
     assert rank == len(factors)
     if rank:
         # the modulus of the Smith route: a multiple of every d_i
@@ -212,19 +212,32 @@ def test_profile_matches_pairwise_counts(case, d):
     assert hilbert_profile(lattice, d).values == expected
 
 
+def head(rows, s):
+    """The rows without their last column: generators of L' in Z^(s-1)."""
+    return ZMatrix.from_rows([row[:-1] for row in rows], cols=s - 1)
+
+
+def smith_modulus(rows, s):
+    """D, the modulus of the Smith route: the gcd of the minors of the pass over the head."""
+    return gcd(*_fraction_free(head(rows, s))[2])
+
+
 def head_modulus(rows, s):
-    """D2 of the lattice L' that the rows span without their last column."""
-    return _reverse_pass_modulus(ZMatrix.from_rows([row[:-1] for row in rows], cols=s - 1))
+    """D2 of the lattice L', from the tail of the same pass."""
+    a = head(rows, s)
+    return _tail_modulus(a, _fraction_free(a)[3])
 
 
 @SETTINGS
-@given(st.sampled_from([6, 10**6]).flatmap(lambda bound: homogeneous_rows(max_s=6, bound=bound)))
+@given(st.sampled_from([6, 10**6]).flatmap(
+    lambda bound: homogeneous_rows(max_s=8, bound=bound, extra_rows=2)))
 @example((1, []))
 @example((2, [[0, 0], [5, -5]]))
 def test_corank_one_basis_matches_hermite_basis(case):
     s, rows = case
     lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
     assert lattice.basis == hermite_basis(lattice.generators)
+    assert lattice.invariant_factors == smith_invariants(lattice.generators)
     if lattice.rank == s - 1:
         assert head_modulus(rows, s) % lattice.degree() == 0
 
@@ -251,3 +264,51 @@ def test_corank_one_basis_cases(rows, s, modulus):
     assert lattice.basis == hermite_basis(lattice.generators)
     if s > 1:
         assert lattice.normalized_volume() == lattice.degree()
+
+
+@pytest.mark.parametrize("rows, s, smith, modulus", [
+    ([[0, 1, 4, -4, -1], [3, -1, -4, -2, 4], [-3, 1, 3, -1, 0], [2, 4, -3, -1, -2],
+      [-4, -1, 2, 0, 3]], 5, 6, 2),
+    ([[-4, -4, -4, 4, -4, 12], [2, -1, 2, -4, 4, -3], [-1, 3, 3, 4, -1, -8],
+      [1, -1, -1, 3, 0, -2], [-4, 2, 4, -3, -2, 3], [0, -3, 1, 4, 2, -4]], 6, 12, 4),
+    ([[4, -1, 0, 0, 3, 4, -10], [2, -4, 3, -1, 2, 2, -4], [-2, 1, 4, 1, -3, 3, -4],
+      [4, -3, -2, 4, 2, 1, -6], [3, -4, 3, -4, 0, 2, 0], [-2, -2, 4, -1, -4, -1, 6],
+      [4, 4, -1, 2, 4, 1, -14]], 7, 36, 72),
+    ([[1, 3, 0, 4, -4, 2, 4, -10], [-2, 4, 4, -1, 2, -4, 3, -6], [1, 4, -1, 4, 2, 3, 1, -14],
+      [2, 1, -4, 4, 4, 1, 3, -11], [-4, -1, -2, 4, -2, -3, 4, 4], [0, -4, -3, -3, -4, 3, -4, 15],
+      [0, -1, 0, -3, -2, 1, 0, 5], [-3, -2, -2, 0, 4, -2, 0, 5]], 8, 4, 4),
+    # m = s + 2
+    ([[5, -1, 2, 0, -6], [2, 2, -4, -5, 5], [-1, 1, 0, 1, -1], [-2, -1, -4, -1, 8],
+      [3, -2, 4, 1, -6], [-5, -2, -5, 1, 11], [-3, -5, -3, 2, 9]], 5, 2, 1),
+    ([[3, 5, 1, 3, -2, 5, -15], [3, 2, -2, 3, 5, -5, -6], [1, 5, 4, 0, 5, 5, -20],
+      [1, -5, -1, -3, -2, -5, 15], [-1, -4, -4, -1, -1, -3, 14], [1, 4, -1, -3, -5, 3, 1],
+      [-5, 4, -2, 4, 2, -3, 0], [4, 3, -5, 1, -2, 0, -1], [-4, -2, 4, 5, 1, 4, -8]], 7, 8, 12),
+    # a zero row and a copy of row 0 before the tail: both force row swaps
+    ([[-2, 0, -3, 2, 0, -1, 1, 3], [0, 0, 0, 0, 0, 0, 0, 0], [-2, 0, -3, 2, 0, -1, 1, 3],
+      [0, -3, -1, 1, 3, 0, -1, 1], [-3, -2, -2, 3, -1, 3, 1, 1], [3, -2, -1, 0, -2, -1, 2, 1],
+      [-3, 3, 0, 1, -1, 3, 2, -5], [1, 0, 3, 1, -2, -3, 2, -2], [-3, -3, -2, -2, -2, 1, -2, 13],
+      [-1, 3, -1, 1, 1, 3, -1, -5]], 8, 3, 18),
+    ([[-228022, -289377, -286371, -761108, -389278, 1954156],
+      [-506772, 819111, 979700, 266643, 634813, -2193495],
+      [499691, 860729, 25072, -716159, 216258, -885591],
+      [155888, 615337, -781320, -327389, -917923, 1255407],
+      [-147301, -846503, -202600, 816486, 652799, -272881],
+      [-691030, 737502, -737820, -285087, -759479, 1735914]], 6, 4, 2),
+], ids=["generic5", "generic6", "generic7", "generic8", "extra5", "extra7", "swaps8", "huge6"])
+def test_corank_one_tail_cases(rows, s, smith, modulus):
+    """Both moduli at s >= 5, where D2 comes from the tail block of the pass."""
+    lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
+    assert lattice.rank == s - 1
+    assert smith_modulus(rows, s) == smith
+    assert head_modulus(rows, s) == modulus
+    assert smith % lattice.degree() == 0
+    assert modulus % lattice.degree() == 0
+    assert lattice.basis == hermite_basis(lattice.generators)
+    assert lattice.normalized_volume() == lattice.degree()
+    if len(rows) == s:
+        # no row swap in either pass: D and D2 are gcds of disjoint pairs of
+        # maximal minors, omitting row s - 1 or s - 2, and row s - 4 or s - 3
+        a = [row[:-1] for row in rows]
+        omitted = [cofactor_det(a[:i] + a[i + 1:]) for i in range(s)]
+        assert smith == gcd(omitted[s - 1], omitted[s - 2])
+        assert modulus == gcd(omitted[s - 4], omitted[s - 3])

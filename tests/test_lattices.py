@@ -242,6 +242,29 @@ def test_degree_and_volume_use_independent_moduli(monkeypatch, bad):
         assert lattice.degree() != 90
 
 
+def test_corank_one_construction_runs_one_wide_pass(monkeypatch):
+    """Both moduli at rank s - 1 come from one Bareiss pass over the head.
+
+    The Hermite modulus needs only a second pass over the three-column
+    block that the first pass leaves.
+    """
+    widths = []
+    original = intmat._fraction_free
+
+    def counting(a):
+        widths.append(a.cols)
+        return original(a)
+
+    monkeypatch.setattr(intmat, "_fraction_free", counting)
+    lattice = HomogeneousLattice.from_rows([
+        [-4, -4, -4, 4, -4, 12], [2, -1, 2, -4, 4, -3], [-1, 3, 3, 4, -1, -8],
+        [1, -1, -1, 3, 0, -2], [-4, 2, 4, -3, -2, 3], [0, -3, 1, 4, 2, -4],
+    ])
+    assert lattice.rank == 5
+    assert [w for w in widths if w > 3] == [5]
+    assert len(widths) == 2
+
+
 def test_volume_equals_degree_random_suite():
     rng = random.Random(60606)
     for _ in range(200):
