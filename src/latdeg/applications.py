@@ -268,13 +268,8 @@ def _joining_edges(s: int, edges: Sequence[tuple[int, int]]) -> int:
     return joined
 
 
-def build_laplacian_lattice(g: GraphSpec) -> HomogeneousLattice:
-    """Row lattice of the graph Laplacian (degree matrix minus adjacency).
-
-    Rows sum to zero, and for a connected graph the rank is s-1, so the
-    degree machinery applies; the torsion order is the spanning-tree
-    count.
-    """
+def _laplacian_rows(g: GraphSpec) -> list[list[int]]:
+    """The graph Laplacian (degree matrix minus adjacency), row by row."""
     s = g.vertex_count
     lap = [[0] * s for _ in range(s)]
     for i, j in g.edges:
@@ -282,7 +277,17 @@ def build_laplacian_lattice(g: GraphSpec) -> HomogeneousLattice:
         lap[j][i] -= 1
         lap[i][i] += 1
         lap[j][j] += 1
-    return HomogeneousLattice.from_rows(lap, ambient_dim=s)
+    return lap
+
+
+def build_laplacian_lattice(g: GraphSpec) -> HomogeneousLattice:
+    """Row lattice of the graph Laplacian (degree matrix minus adjacency).
+
+    Rows sum to zero, and for a connected graph the rank is s-1, so the
+    degree machinery applies; the torsion order is the spanning-tree
+    count.
+    """
+    return HomogeneousLattice.from_rows(_laplacian_rows(g), ambient_dim=g.vertex_count)
 
 
 def reduced_laplacian(g: GraphSpec, drop_vertex: int | None = None) -> ZMatrix:
@@ -292,7 +297,7 @@ def reduced_laplacian(g: GraphSpec, drop_vertex: int | None = None) -> ZMatrix:
         drop_vertex = s - 1
     if not 0 <= drop_vertex < s:
         raise ValueError(f"vertex {drop_vertex} out of range")
-    full = build_laplacian_lattice(g).generators.to_rows()
+    full = _laplacian_rows(g)
     keep = [v for v in range(s) if v != drop_vertex]
     return ZMatrix.from_rows([[full[i][j] for j in keep] for i in keep], cols=s - 1)
 

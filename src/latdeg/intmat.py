@@ -1,12 +1,14 @@
 """Exact integer matrix algebra.
 
 Everything here runs over Python's unbounded integers: Smith and Hermite
-normal forms with unimodular transform tracking, the same eliminations
-without transforms (invariant factors and Hermite bases only),
-fraction-free determinants, and integer kernels.  No floating point, no
+normal forms, fraction-free determinants, and integer kernels.  Each
+normal form has one elimination loop.  Its unimodular transforms are
+identity blocks placed beside the matrix and carried along by the same
+row and column operations; the invariant factors and Hermite bases run
+the same loop with nothing carried.  No floating point, no
 fixed-width arithmetic anywhere: a matrix takes its entries through
 ``operator.index``, so a float or a string is refused, never truncated.
-The transform-tracking forms come back as immutable records.
+The forms with transforms come back as immutable records.
 
 The invariant factors alone are computed modulo D, the gcd of the r x r
 minors (r the rank) that one Bareiss pass already produces; that pass
@@ -110,12 +112,6 @@ class ZMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
-
-    def transpose(self) -> "ZMatrix":
-        return ZMatrix(
-            self.cols, self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def __matmul__(self, other: "ZMatrix") -> "ZMatrix":
         return mat_mul(self, other)
@@ -244,64 +240,48 @@ def determinant(a: ZMatrix) -> int:
     return signed_pivot if rank == a.rows else 0
 
 
-def _smith_elimination(a: ZMatrix, track: bool, modulus: int = 0):
-    """The Smith elimination loop shared by both Smith entry points.
+def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> tuple[int, ...]:
+    """The Smith elimination loop, in place on the rows ``d``.
 
-    Returns the invariant factors, the diagonalized working matrix and,
-    when ``track`` is set, the row and column transforms (else None for
-    both).  Once pivot t is being worked on, rows and columns before t
-    are zero outside the diagonal, so row operations touch only columns
-    >= t and column operations only rows >= t.
+    Pivots only inside the m x s block at the top left, and returns its
+    invariant factors.  Rows below the block and columns to its right
+    are carried along by the same swaps, subtractions and sign flips, so
+    identity blocks placed there come out as the transforms (Cohen,
+    GTM 138, 2.4).  Once pivot t is being worked on, rows and columns
+    before t of the block are zero outside the diagonal, so row
+    operations touch only columns >= t and column operations only rows
+    >= t.
 
-    With a positive ``modulus`` D every entry is kept reduced mod D, so
-    the loop eliminates the lattice spanned by the rows of ``a`` and
-    D*Z^n, and the factors are gcd(diagonal entry, D) for each of the
-    min(m, n) diagonal positions.  The stray test then asks for
-    divisibility by gcd(pivot, D), the generator of the pivot's ideal
-    mod D; since that gcd divides D, residues of its multiples stay its
-    multiples, and the factors still form a divisibility chain.
+    With a positive ``modulus`` D (and nothing carried) every entry is
+    kept reduced mod D, so the loop eliminates the lattice spanned by
+    the rows and D*Z^s, and the factors are gcd(diagonal entry, D) for
+    each of the min(m, s) diagonal positions.  The stray test then asks
+    for divisibility by gcd(pivot, D), the generator of the pivot's
+    ideal mod D; since that gcd divides D, residues of its multiples
+    stay its multiples, and the factors still form a divisibility chain.
     """
-    m, s = a.rows, a.cols
-    d = [[x % modulus for x in row] for row in a.to_rows()] if modulus else a.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    v = [[int(i == j) for j in range(s)] for i in range(s)] if track else None
+    if modulus:
+        d[:] = [[x % modulus for x in row] for row in d]
     t = 0
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            if track:
-                u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
-            for k in range(t, m):
-                row = d[k]
+            for row in d[t:]:
                 row[i], row[j] = row[j], row[i]
-            if track:
-                for row in v:
-                    row[i], row[j] = row[j], row[i]
 
     def row_sub(i, j, q):  # row i -= q * row j
         di, dj = d[i], d[j]
         if modulus:
-            for k in range(t, s):
+            for k in range(t, len(di)):
                 di[k] = (di[k] - q * dj[k]) % modulus
         else:
-            for k in range(t, s):
+            for k in range(t, len(di)):
                 di[k] -= q * dj[k]
-        if track:
-            ui, uj = u[i], u[j]
-            for k in range(m):
-                ui[k] -= q * uj[k]
 
     def col_sub(j, k, q):  # col j -= q * col k, in the rows where col k is nonzero
         for row in d[t:]:
             if row[k]:
                 row[j] = (row[j] - q * row[k]) % modulus if modulus else row[j] - q * row[k]
-        if track:
-            for row in v:
-                row[j] -= q * row[k]
 
     def min_pivot():
         best = None
@@ -320,7 +300,7 @@ def _smith_elimination(a: ZMatrix, track: bool, modulus: int = 0):
         best = min_pivot()
         if best is None:
             break
-        swap_rows(t, best[1])
+        d[t], d[best[1]] = d[best[1]], d[t]
         swap_cols(t, best[2])
         while True:
             dirty = False
@@ -342,7 +322,7 @@ def _smith_elimination(a: ZMatrix, track: bool, modulus: int = 0):
             if dirty:
                 # a remainder smaller than the pivot appeared; re-pivot on it
                 best = min_pivot()
-                swap_rows(t, best[1])
+                d[t], d[best[1]] = d[best[1]], d[t]
                 swap_cols(t, best[2])
                 continue
             divisor = gcd(d[t][t], modulus) if modulus else abs(d[t][t])
@@ -363,15 +343,11 @@ def _smith_elimination(a: ZMatrix, track: bool, modulus: int = 0):
             # replaces the pivot by a proper divisor of itself
             row_sub(t, stray, -1)
         if d[t][t] < 0:
-            d[t][t] = -d[t][t]  # the rest of row t is already zero
-            if track:
-                u[t] = [-x for x in u[t]]
+            d[t] = [-x for x in d[t]]
         t += 1
     if modulus:
-        factors = tuple(gcd(d[i][i], modulus) for i in range(limit))
-    else:
-        factors = tuple(d[i][i] for i in range(limit) if d[i][i])
-    return factors, d, u, v
+        return tuple(gcd(d[i][i], modulus) for i in range(limit))
+    return tuple(d[i][i] for i in range(limit) if d[i][i])
 
 
 def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
@@ -382,13 +358,17 @@ def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
     column with integer row/column operations, and fold any block entry
     the pivot does not divide back into the pivot row so the diagonal
     comes out as a divisibility chain.  Invariant factors are normalized
-    positive.  Deterministic for a given input.
+    positive.  Deterministic for a given input.  The loop runs on
+    [[a | I_m], [I_s | 0]], which it turns into [[d | u], [v | 0]].
     """
-    factors, d, u, v = _smith_elimination(a, track=True)
+    m, s = a.rows, a.cols
+    rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a.to_rows())]
+    rows += [[int(i == j) for j in range(s)] + [0] * m for i in range(s)]
+    factors = _smith_elimination(rows, m, s)
     return SmithDecomposition(
-        u=ZMatrix.from_rows(u, cols=a.rows),
-        d=ZMatrix.from_rows(d, cols=a.cols),
-        v=ZMatrix.from_rows(v, cols=a.cols),
+        u=ZMatrix.from_rows([row[s:] for row in rows[:m]], cols=m),
+        d=ZMatrix.from_rows([row[:s] for row in rows[:m]], cols=s),
+        v=ZMatrix.from_rows([row[:s] for row in rows[m:]], cols=s),
         invariant_factors=factors,
         rank=len(factors),
     )
@@ -416,7 +396,7 @@ def _smith_pass(a: ZMatrix) -> tuple[tuple[int, ...], tuple | None]:
     modulus = gcd(*minors)  # 0 at rank 0, which has no minors
     if modulus <= 1:
         return (1,) * rank, tail
-    return _smith_elimination(a, track=False, modulus=modulus)[0][:rank], tail
+    return _smith_elimination(a.to_rows(), a.rows, a.cols, modulus=modulus)[:rank], tail
 
 
 def _tail_modulus(a: ZMatrix, tail: tuple | None) -> int:
@@ -433,44 +413,35 @@ def _tail_modulus(a: ZMatrix, tail: tuple | None) -> int:
     return gcd(*minors) // (p * p)
 
 
-def _hermite_elimination(a: ZMatrix, track: bool, modulus: int = 0):
-    """The Hermite elimination loop shared by both Hermite entry points.
+def _hermite_elimination(h: list[list[int]], s: int, modulus: int = 0) -> int:
+    """The Hermite elimination loop, in place on the rows ``h``; returns the rank.
 
-    Returns the echelon working matrix, the row transform when ``track``
-    is set (else None), and the rank.  While column j is being worked
-    on, the rows at and below the current pivot row are zero before
-    column j; row operations only subtract multiples of those rows, so
-    they touch only columns >= j.
+    Pivots only in the first s columns.  Columns to their right are
+    carried along by the same swaps, subtractions and sign flips, so an
+    identity block placed there comes out as the row transform.  While
+    column j is being worked on, the rows at and below the current pivot
+    row are zero before column j; row operations only subtract multiples
+    of those rows, so they touch only columns >= j.
 
-    A positive ``modulus`` R (without ``track``) requires a full-rank
+    A positive ``modulus`` R (with nothing carried) requires a full-rank
     row lattice whose index divides R, so it contains R*Z^s
     (Domich-Kannan-Trotter).  Rows at and below the pivot row stay
     reduced mod R; the pivot is h = gcd(x, R) for the entry x left in
     the column (R if it is all zero mod R), its row u * row mod R with
     u*x = h mod R, and then R //= h.  Reduction above pivots is exact.
     """
-    m, s = a.rows, a.cols
-    h = [[x % modulus for x in row] for row in a.to_rows()] if modulus else a.to_rows()
-    t = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-
-    def swap(i, k):
-        if i != k:
-            h[i], h[k] = h[k], h[i]
-            if track:
-                t[i], t[k] = t[k], t[i]
+    m = len(h)
+    if modulus:
+        h[:] = [[x % modulus for x in row] for row in h]
 
     def row_sub(i, k, q):  # row i -= q * row k
         hi, hk = h[i], h[k]
         if modulus and i > k:
-            for c in range(j, s):
+            for c in range(j, len(hi)):
                 hi[c] = (hi[c] - q * hk[c]) % modulus
         else:
-            for c in range(j, s):
+            for c in range(j, len(hi)):
                 hi[c] -= q * hk[c]
-        if track:
-            ti, tk = t[i], t[k]
-            for c in range(m):
-                ti[c] -= q * tk[c]
 
     r = 0
     for j in range(s):
@@ -485,7 +456,7 @@ def _hermite_elimination(a: ZMatrix, track: bool, modulus: int = 0):
                     best = i
             if best is None:
                 break
-            swap(r, best)
+            h[r], h[best] = h[best], h[r]
             pivot = h[r][j]
             clean = True
             for i in range(r + 1, m):
@@ -506,15 +477,13 @@ def _hermite_elimination(a: ZMatrix, track: bool, modulus: int = 0):
             continue
         elif h[r][j] < 0:
             h[r] = [-x for x in h[r]]
-            if track:
-                t[r] = [-x for x in t[r]]
         pivot = h[r][j]
         for i in range(r):
             q = h[i][j] // pivot  # floor puts the entry into [0, pivot)
             if q:
                 row_sub(i, r, q)
         r += 1
-    return h, t, r
+    return r
 
 
 def hermite_normal_form(a: ZMatrix) -> HermiteForm:
@@ -522,12 +491,15 @@ def hermite_normal_form(a: ZMatrix) -> HermiteForm:
 
     Only unimodular row operations are used, so the nonzero rows of the
     result are a basis of the row lattice of ``a`` and the returned
-    canonical form is unique for a given row lattice.
+    canonical form is unique for a given row lattice.  The loop runs on
+    [a | I_m], which it turns into [h | transform].
     """
-    h, t, r = _hermite_elimination(a, track=True)
+    m, s = a.rows, a.cols
+    rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a.to_rows())]
+    r = _hermite_elimination(rows, s)
     return HermiteForm(
-        h=ZMatrix.from_rows(h, cols=a.cols),
-        transform=ZMatrix.from_rows(t, cols=a.rows),
+        h=ZMatrix.from_rows([row[:s] for row in rows], cols=s),
+        transform=ZMatrix.from_rows([row[s:] for row in rows], cols=m),
         rank=r,
     )
 
@@ -539,7 +511,8 @@ def hermite_basis(a: ZMatrix) -> ZMatrix:
     the canonical echelon basis of the row lattice of ``a``, one row per
     unit of rank.
     """
-    h, _t, r = _hermite_elimination(a, track=False)
+    h = a.to_rows()
+    r = _hermite_elimination(h, a.cols)
     return ZMatrix.from_rows(h[:r], cols=a.cols)
 
 

@@ -61,7 +61,8 @@ def _corank_one_basis(head: ZMatrix, tail: tuple | None) -> ZMatrix:
     degree) divides D2; ``tail`` is that of the Bareiss pass over it.
     """
     s = head.cols + 1
-    h, _t, _r = _hermite_elimination(head, track=False, modulus=_tail_modulus(head, tail))
+    h = head.to_rows()
+    _hermite_elimination(h, head.cols, modulus=_tail_modulus(head, tail))
     return ZMatrix.from_rows([row + [-sum(row)] for row in h[: s - 1]], cols=s)
 
 

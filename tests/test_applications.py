@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,7 @@ from latdeg.errors import FormatError
 K4 = GraphSpec(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 C5 = GraphSpec(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
 P4 = GraphSpec(4, ((0, 1), (1, 2), (2, 3)))
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def torus_spec(q, s):
@@ -203,6 +205,20 @@ def test_three_way_sandpile_agreement():
         assert check.agree, (g, check)
         assert check.degree == spanning_tree_count(g)
         assert check.degree == abs(determinant(reduced_laplacian(g)))
+
+
+def test_sandpile_check_builds_one_lattice(monkeypatch):
+    built = []
+    init = applications.HomogeneousLattice.__init__
+
+    def counting(self, generators):
+        built.append(generators)
+        init(self, generators)
+
+    monkeypatch.setattr(applications.HomogeneousLattice, "__init__", counting)
+    check = check_sandpile_degree(parse_graph((DATA / "complete4.graph").read_text()))
+    assert check.agree and check.degree == 16
+    assert len(built) == 1
 
 
 def test_reduced_laplacian_drop_choice_is_irrelevant():

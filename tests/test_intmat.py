@@ -87,6 +87,12 @@ def test_smith_empty_and_zero():
     assert dec.u == ZMatrix.identity(0)
     assert dec.v == ZMatrix.identity(3)
 
+    dec = smith_normal_form(ZMatrix(3, 0, ()))
+    assert dec.invariant_factors == ()
+    assert dec.u == ZMatrix.identity(3)
+    assert dec.d == ZMatrix(3, 0, ())
+    assert dec.v == ZMatrix.identity(0)
+
     zero = ZMatrix.zero(2, 2)
     dec = smith_normal_form(zero)
     assert dec.invariant_factors == ()
@@ -159,6 +165,11 @@ def test_hermite_examples():
     hf = hermite_normal_form(ZMatrix.from_rows([[3, 3], [3, 3]]))
     assert hf.h == ZMatrix.from_rows([[3, 3], [0, 0]])
     assert hf.rank == 1
+
+    hf = hermite_normal_form(ZMatrix(3, 0, ()))
+    assert hf.h == ZMatrix(3, 0, ())
+    assert hf.transform == ZMatrix.identity(3)
+    assert hf.rank == 0
 
 
 def test_hermite_random_properties():
@@ -239,6 +250,7 @@ def test_integer_kernel_examples():
 
     invertible = ZMatrix.from_rows([[2, 1], [1, 1]])
     assert integer_kernel(invertible) == ZMatrix(0, 2, ())
+    assert integer_kernel(ZMatrix(2, 0, ())) == ZMatrix.identity(2)
 
 
 def test_integer_kernel_random_annihilates_and_is_saturated():

@@ -225,8 +225,8 @@ def test_degree_and_volume_use_independent_moduli(monkeypatch, bad):
     """
 
     def with_modulus(elimination):
-        def run(a, track, modulus=0):
-            return elimination(a, track, bad if modulus else 0)
+        def run(*args, modulus=0):
+            return elimination(*args, modulus=bad if modulus else 0)
 
         return run
 
