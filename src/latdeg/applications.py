@@ -21,6 +21,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import BudgetExceeded, Disconnected, DomainError, FormatError, NonPrimeField
+from .hilbert import DEFAULT_BUDGET
 from .intmat import ZMatrix, _content_lines, determinant, integer_kernel
 from .lattices import HomogeneousLattice
 
@@ -40,11 +41,9 @@ __all__ = [
     "check_sandpile_degree",
     "parse_toric_spec",
     "parse_graph",
-    "POINT_BUDGET",
     "MAX_TREE_EDGES",
 ]
 
-POINT_BUDGET = 1_000_000
 MAX_TREE_EDGES = 24
 
 
@@ -150,7 +149,7 @@ def _point(spec: ToricSetSpec, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(c * inv % q for c in coords)
 
 
-def enumerate_toric_set(spec: ToricSetSpec, budget: int = POINT_BUDGET) -> set[tuple[int, ...]]:
+def enumerate_toric_set(spec: ToricSetSpec, budget: int = DEFAULT_BUDGET) -> set[tuple[int, ...]]:
     """All distinct points of the set, normalized to first coordinate 1.
 
     Iterates the full parameter grid of size (q-1)^n, which must fit in
@@ -170,7 +169,7 @@ class VanishingCheck(Record):
     agree: bool
 
 
-def check_vanishing_degree(spec: ToricSetSpec, budget: int = POINT_BUDGET) -> VanishingCheck:
+def check_vanishing_degree(spec: ToricSetSpec, budget: int = DEFAULT_BUDGET) -> VanishingCheck:
     """Compare lattice degree with the brute-force point count."""
     deg = build_toric_lattice(spec).degree()
     count = len(enumerate_toric_set(spec, budget=budget))

@@ -4,7 +4,8 @@ Subcommands map onto the library one-to-one.  Each builds its report
 once, and one renderer prints it as text or, under ``--json``, as JSON
 in which unbounded integers are decimal strings; ``emit`` prints its
 script either way.  Exit status: 0 on success, 1 when the inputs are
-outside an operation's mathematical domain, 2 on usage or parse errors.
+outside an operation's mathematical domain or when standard output is
+closed before the report is written, 2 on usage or parse errors.
 Each command is a fresh process that pays for every module it imports,
 so :mod:`json` is imported only when ``--json`` output is written.
 """
@@ -12,6 +13,7 @@ so :mod:`json` is imported only when ``--json`` output is written.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -29,7 +31,7 @@ from .hilbert import DEFAULT_BUDGET, hilbert_profile, verify_degree
 from .intmat import ZMatrix, format_matrix, hermite_basis, parse_matrix, smith_invariants
 from .lattices import HomogeneousLattice
 
-__all__ = ["main", "build_parser", "emit_cas_script", "lattice_summary"]
+__all__ = ["main", "build_parser", "emit_cas_script"]
 
 
 def emit_cas_script(lattice: HomogeneousLattice, fmt: str = "macaulay2") -> str:
@@ -142,11 +144,6 @@ def _summary_fields(lattice: HomogeneousLattice) -> list:
         ("degree", None, lattice.degree() if corank_one else None),
         ("regularity_upper_bound", None, lattice.regularity_upper_bound() if corank_one else None),
     ]
-
-
-def lattice_summary(lattice: HomogeneousLattice) -> dict:
-    """The JSON report shared by the degree and torsion subcommands."""
-    return _json_object(_summary_fields(lattice))
 
 
 def _read_text(path: str) -> str:
@@ -325,7 +322,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = args.func(args)
         if report is not None:
             _render(report, args.json)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
         return 0
+    except BrokenPipeError:
+        # the reader is gone; send the flush at exit to devnull and fail quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,20 +1,20 @@
 """Homogeneous integer lattices and the quotient-group data derived from them.
 
 A lattice here is the integer row span of a generator matrix in which
-every row has coordinate sum zero.  The degree path is transform-free:
-the invariant factors of the generators (a Smith elimination without
-unimodular transforms) give the rank and the torsion structure of the
+every row has coordinate sum zero.  Construction is transform-free and
+works on the generators without their last coordinate (minus the row
+sum), which span the projection L' with the same invariant factors.  A
+Smith elimination gives the rank and the torsion structure of the
 quotient group, and for lattices of rank one less than the ambient
-dimension the degree (the torsion order).  A separate Hermite
-elimination, also without transform and at that rank modulo a gcd of
-other minors from the tail of the same Bareiss pass, gives the echelon
-basis that answers membership and element-order queries by integer
-reduction, canonical coset representatives, the simplex-volume reading of the degree (its Bareiss
-determinant), and an upper bound for where the associated counting
-function goes constant.  The Smith decomposition with transforms, used
-only by Smith coordinates, is computed on first use.  Query vectors
-must hold integers (``operator.index``); the torsion structure is an
-immutable record.
+dimension the degree (the torsion order).  One Hermite elimination,
+at that rank modulo a gcd of other minors from the tail of the same
+Bareiss pass, gives the echelon basis that answers membership and
+element-order queries by integer reduction, canonical coset
+representatives, the simplex-volume reading of the degree (the product
+of its pivots, the index of L'), and an upper bound for where the
+associated counting function goes constant.  Query vectors must hold
+integers (``operator.index``); the torsion structure is an immutable
+record.
 """
 
 from __future__ import annotations
@@ -25,16 +25,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import DimensionMismatch, DomainError, NotHomogeneous, RankMismatch
-from .intmat import (
-    SmithDecomposition,
-    ZMatrix,
-    _hermite_elimination,
-    _smith_pass,
-    _tail_modulus,
-    determinant,
-    hermite_basis,
-    smith_normal_form,
-)
+from .intmat import ZMatrix, _hermite_elimination, _smith_pass, _tail_modulus, smith_normal_form
 
 __all__ = ["HomogeneousLattice", "TorsionStructure"]
 
@@ -53,42 +44,29 @@ class TorsionStructure(Record):
     free_rank: int
 
 
-def _corank_one_basis(head: ZMatrix, tail: tuple | None) -> ZMatrix:
-    """:func:`hermite_basis` of homogeneous generators of rank s - 1, modulo D2.
-
-    ``head`` is the generators without their last coordinate (minus the
-    row sum), and spans L', of full rank in Z^(s-1), whose index (the
-    degree) divides D2; ``tail`` is that of the Bareiss pass over it.
-    """
-    s = head.cols + 1
-    h = head.to_rows()
-    _hermite_elimination(h, head.cols, modulus=_tail_modulus(head, tail))
-    return ZMatrix.from_rows([row + [-sum(row)] for row in h[: s - 1]], cols=s)
-
-
 class HomogeneousLattice:
     """Integer lattice in Z^s all of whose members have zero coordinate sum.
 
     Construction verifies homogeneity of every generator row (row sums
     are linear, so this covers the whole lattice) and runs two
-    transform-free eliminations of the generator matrix: the Smith
-    elimination for ``invariant_factors`` (rank, degree, torsion) and
-    the Hermite elimination for ``basis``, the echelon basis that
-    answers membership, element-order and coset queries with integer
-    reduction and gives the normalized volume.  One Bareiss pass over
-    the generators without their last column (same invariant factors)
-    gives the Smith modulus, the gcd of its minors; at rank s - 1 a
-    pass over the block it left at three columns, rows reversed, gives
-    the Hermite modulus.  Each elimination reads only its own modulus,
-    so degree and volume come from separate eliminations.  The Smith
-    decomposition with transforms is computed on first access to
-    :attr:`decomposition`.
-    Instances are immutable (the cache is idempotent) and safe to share
-    across threads.
+    transform-free eliminations of the head, the generators without
+    their last column: the Smith elimination for ``invariant_factors``
+    (rank, degree, torsion) and the Hermite elimination for ``basis``,
+    the echelon basis that answers membership, element-order and coset
+    queries with integer reduction and whose pivots give the normalized
+    volume.  Each basis row gets back its last coordinate as minus its
+    row sum; a sum-zero row never pivots in the last column, so this is
+    the Hermite basis of the generators (Cohen, GTM 138, 2.4).  One
+    Bareiss pass over the head gives the Smith modulus, the gcd of its
+    minors; at rank s - 1 a pass over the block it left at three
+    columns, rows reversed, gives the Hermite modulus, and below that
+    rank the Hermite elimination is exact.  Each elimination reads only
+    its own modulus, so degree and volume come from separate
+    eliminations.  Instances are immutable and safe to share across
+    threads.
     """
 
-    __slots__ = ("generators", "ambient_dim", "rank", "invariant_factors", "basis",
-                 "_pivots", "_decomposition")
+    __slots__ = ("generators", "ambient_dim", "rank", "invariant_factors", "basis", "_pivots")
 
     def __init__(self, generators: ZMatrix):
         for i in range(generators.rows):
@@ -101,17 +79,16 @@ class HomogeneousLattice:
                                  cols=max(s - 1, 0))
         self.invariant_factors, tail = _smith_pass(head)
         self.rank = len(self.invariant_factors)
-        if self.rank == s - 1:
-            self.basis = _corank_one_basis(head, tail)
-        else:
-            self.basis = hermite_basis(generators)
+        h = head.to_rows()
+        modulus = _tail_modulus(head, tail) if self.rank == s - 1 else 0
+        r = _hermite_elimination(h, head.cols, modulus=modulus)
+        self.basis = ZMatrix.from_rows([row + [-sum(row)] for row in h[:r]], cols=s)
         pivots = []
-        for i in range(self.basis.rows):
+        for i in range(r):
             row = self.basis.row(i)
             p = next(j for j, x in enumerate(row) if x)
             pivots.append((p, row[p], row))
         self._pivots = tuple(pivots)  # (column, pivot, basis row) per row
-        self._decomposition = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ambient_dim: int | None = None):
@@ -123,22 +100,17 @@ class HomogeneousLattice:
             f"generators={self.generators.to_rows()!r})"
         )
 
-    @property
-    def decomposition(self) -> SmithDecomposition:
-        """Smith decomposition of the generators, with transforms, computed on first use."""
-        if self._decomposition is None:
-            self._decomposition = smith_normal_form(self.generators)
-        return self._decomposition
-
     def smith_coordinates(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of ``v`` after the column transform of the decomposition.
+        """Coordinates of ``v`` after the column transform V of the Smith form.
 
         With ``w = v @ V``, the lattice consists exactly of the vectors
         whose first ``rank`` transformed coordinates are divisible by the
         matching invariant factors and whose remaining coordinates vanish.
+        Runs :func:`smith_normal_form` of the generators on each call;
+        nothing on the degree path needs the transforms.
         """
         w = self._vector(v)
-        vmat = self.decomposition.v
+        vmat = smith_normal_form(self.generators).v
         cols = [vmat.column(j) for j in range(self.ambient_dim)]
         return tuple(sum(x * c for x, c in zip(w, col)) for col in cols)
 
@@ -245,10 +217,10 @@ class HomogeneousLattice:
 
         Expresses each row of the Hermite basis in the coordinates
         e_i - e_s (its first s-1 entries, valid because rows sum to
-        zero) and returns the absolute Bareiss determinant.  Equals
+        zero); that matrix is upper triangular with positive diagonal,
+        so its determinant is the product of the pivots.  Equals
         :meth:`degree`; the two values travel through independent
-        eliminations.
+        eliminations (the Hermite one never reads the Smith modulus).
         """
         self._require_corank_one()
-        basis = [self.basis.row(i)[:-1] for i in range(self.basis.rows)]
-        return abs(determinant(ZMatrix.from_rows(basis, cols=self.ambient_dim - 1)))
+        return prod(h for _p, h, _row in self._pivots)

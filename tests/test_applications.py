@@ -107,6 +107,10 @@ def test_enumerate_budget():
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_toric_set(spec, budget=10)
     assert exc.value.needed == 36
+    # the library's default is the CLI's: 2,000,000 points
+    with pytest.raises(BudgetExceeded) as exc:
+        check_vanishing_degree(ToricSetSpec(q=2003, exponents=((1, 1), (2, 0))))
+    assert (exc.value.needed, exc.value.budget) == (2002**2, 2_000_000)
 
 
 def test_toric_set_is_multiplicative_group():

@@ -2,9 +2,13 @@
 
 The lattice answers membership and element-order queries by reducing
 against its Hermite basis; the reference here is the Smith-coordinate
-formula read off the Smith decomposition of the generators.  At rank
-s - 1 that basis is computed modulo a gcd of minors, and is checked
-against the exact ``hermite_basis``.  The breadth-first coset counts of
+formula read off the Smith decomposition of the generators.  The
+lattice runs one Hermite elimination on the generators without their
+last column, modulo a gcd of minors at rank s - 1 and exactly below
+it; its basis is checked against the exact ``hermite_basis`` of the
+full generators at every rank, and its volume (the product of the
+pivots) against the determinant of that basis without its last
+column.  The breadth-first coset counts of
 ``hilbert_profile`` are checked against pairwise membership tests
 between monomials.
 """
@@ -120,7 +124,7 @@ def lattices_with_vectors(draw):
 
 def smith_reference(lattice, v):
     """(contains, element_order) from the Smith coordinates of ``v``."""
-    dec = lattice.decomposition
+    dec = smith_normal_form(lattice.generators)
     w = lattice.smith_coordinates(v)
     factors, r = dec.invariant_factors, dec.rank
     if any(w[r:]):
@@ -175,16 +179,6 @@ def test_queries_match_smith_coordinates(case):
 
 @SETTINGS
 @given(lattices_with_vectors())
-def test_lazy_decomposition_matches_smith_normal_form(case):
-    lattice, _vectors = case
-    assert lattice.invariant_factors == smith_normal_form(lattice.generators).invariant_factors
-    first = lattice.decomposition
-    assert first == smith_normal_form(lattice.generators)
-    assert lattice.decomposition is first
-
-
-@SETTINGS
-@given(lattices_with_vectors())
 def test_residue_is_a_canonical_coset_label(case):
     lattice, vectors = case
     generators = lattice.generators.to_rows()
@@ -233,6 +227,12 @@ def head_modulus(rows, s):
     lambda bound: homogeneous_rows(max_s=8, bound=bound, extra_rows=2)))
 @example((1, []))
 @example((2, [[0, 0], [5, -5]]))
+@example((3, [[0, 0, 0], [0, 0, 0]]))  # rank 0 = s - 3: only zero rows
+@example((4, [[2, -4, 6, -4], [1, -2, 3, -2]]))  # rank 1 = s - 3
+@example((4, [[2, 0, 4, -6], [0, 3, 3, -6], [4, 6, 14, -24]]))  # rank 2 = s - 2
+@example((5, [[3, 0, -6, 9, -6], [0, 4, 2, -8, 2], [3, 4, -4, 1, -4]]))  # rank 2 = s - 3
+@example((6, [[1, 2, 0, -3, 4, -4], [0, 0, 5, 5, -5, -5], [2, 4, 5, -1, 3, -13],
+              [0, 6, 0, 6, 0, -12]]))  # rank 3 = s - 3
 def test_corank_one_basis_matches_hermite_basis(case):
     s, rows = case
     lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
@@ -261,9 +261,11 @@ def test_corank_one_basis_cases(rows, s, modulus):
     lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
     assert lattice.rank == s - 1
     assert head_modulus(rows, s) == modulus
-    assert lattice.basis == hermite_basis(lattice.generators)
+    basis = hermite_basis(lattice.generators)
+    assert lattice.basis == basis
     if s > 1:
         assert lattice.normalized_volume() == lattice.degree()
+    assert lattice.normalized_volume() == abs(determinant(head(basis.to_rows(), s)))
 
 
 @pytest.mark.parametrize("rows, s, smith, modulus", [
@@ -303,8 +305,10 @@ def test_corank_one_tail_cases(rows, s, smith, modulus):
     assert head_modulus(rows, s) == modulus
     assert smith % lattice.degree() == 0
     assert modulus % lattice.degree() == 0
-    assert lattice.basis == hermite_basis(lattice.generators)
+    basis = hermite_basis(lattice.generators)
+    assert lattice.basis == basis
     assert lattice.normalized_volume() == lattice.degree()
+    assert lattice.normalized_volume() == abs(determinant(head(basis.to_rows(), s)))
     if len(rows) == s:
         # no row swap in either pass: D and D2 are gcds of disjoint pairs of
         # maximal minors, omitting row s - 1 or s - 2, and row s - 4 or s - 3

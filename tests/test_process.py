@@ -57,9 +57,32 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv) for argv in CASES])
-def test_process_output_equals_in_process_main(argv, capsys, monkeypatch):
-    proc = _python("-m", "latdeg.cli", *argv)
+# ``-S`` skips site-packages: the runtime needs the standard library only
+RUNS = [([], argv) for argv in CASES] + [(["-S"], argv) for argv in CASES]
+
+
+@pytest.mark.parametrize("flags, argv", RUNS, ids=[" ".join(f + a) for f, a in RUNS])
+def test_process_output_equals_in_process_main(flags, argv, capsys, monkeypatch):
+    proc = _python(*flags, "-m", "latdeg.cli", *argv)
     monkeypatch.chdir(ROOT)
     code = main(argv)
     assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["degree", "data/example2.mat"],  # fits the buffer: written at the final flush
+    ["hilbert", "data/example2.mat", "--max-degree", "2000"],  # overflows it: written early
+], ids=["small", "large"])
+def test_closed_stdout_exits_1_quietly(argv, unbuffered):
+    env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "latdeg.cli", *argv], cwd=ROOT, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
