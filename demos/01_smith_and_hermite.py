@@ -1,27 +1,27 @@
 """Exact normal forms of integer matrices.
 
-Walks through Smith and Hermite normal forms with their unimodular
-transforms, plus determinants and integer kernels, on matrices small
-enough to eyeball.
+Walks through invariant factors (the diagonal of the Smith normal
+form, computed without its unimodular transforms), the Hermite normal
+form with its row transform, determinants and integer kernels, on
+matrices small enough to eyeball.
 """
+
+from math import prod
 
 from latdeg import (
     ZMatrix,
     determinant,
     hermite_normal_form,
     integer_kernel,
-    mat_mul,
-    smith_normal_form,
+    smith_invariants,
 )
 
 a = ZMatrix.from_rows([[18, -18, 0], [45, 0, -45], [0, 10, -10]])
 print("A =", a.to_rows())
 
-dec = smith_normal_form(a)
-print("Smith diagonal:", dec.d.to_rows())
-print("invariant factors:", dec.invariant_factors, " rank:", dec.rank)
-print("U @ A @ V == D:", mat_mul(mat_mul(dec.u, a), dec.v) == dec.d)
-print("det U =", determinant(dec.u), " det V =", determinant(dec.v))
+factors = smith_invariants(a)
+print("invariant factors:", factors, " rank:", len(factors))
+print("det A =", determinant(a), "(singular, so the rank is below 3)")
 print()
 
 # entries grow well past 64 bits without any trouble
@@ -34,7 +34,10 @@ big = ZMatrix.from_rows(
     ]
 )
 print("a 4x5 matrix with an 11-digit invariant factor:")
-print("  factors:", smith_normal_form(big).invariant_factors)
+print("  factors:", smith_invariants(big))
+square = ZMatrix.from_rows([row[:4] for row in big.to_rows()])
+print("  its first four columns: |det| =", abs(determinant(square)),
+      "= product of their factors", prod(smith_invariants(square)))
 print()
 
 hf = hermite_normal_form(a)

@@ -3,10 +3,12 @@
 The degree of such an ideal equals the order of the torsion subgroup of
 Z^s modulo the defining lattice, i.e. the product of the invariant
 factors of any generator matrix.  This package computes that product
-with exact integer linear algebra, without unimodular transforms, and
-ships three independent brute-force oracles that confirm it at desk
-scale: coset counting by degree, point enumeration over prime fields,
-and spanning-tree enumeration for graph Laplacians.
+with exact integer linear algebra, without unimodular transforms (no
+Smith transform is exported; ``hermite_normal_form`` keeps its row
+transform, which ``integer_kernel`` reads), and ships three independent
+brute-force oracles that confirm it at desk scale: coset counting by
+degree, point enumeration over prime fields, and spanning-tree
+enumeration for graph Laplacians.
 
 Reports and specs are immutable records (``latdeg._record``), which
 keep :mod:`dataclasses` and its :mod:`inspect` off the import path of
@@ -52,17 +54,14 @@ from .hilbert import (
 )
 from .intmat import (
     HermiteForm,
-    SmithDecomposition,
     ZMatrix,
     determinant,
     format_matrix,
     hermite_basis,
     hermite_normal_form,
     integer_kernel,
-    mat_mul,
     parse_matrix,
     smith_invariants,
-    smith_normal_form,
 )
 from .lattices import HomogeneousLattice, TorsionStructure
 
@@ -72,11 +71,8 @@ __all__ = [
     "__version__",
     # matrices
     "ZMatrix",
-    "SmithDecomposition",
     "HermiteForm",
-    "mat_mul",
     "determinant",
-    "smith_normal_form",
     "smith_invariants",
     "hermite_normal_form",
     "hermite_basis",

@@ -171,8 +171,9 @@ class VanishingCheck(Record):
 
 def check_vanishing_degree(spec: ToricSetSpec, budget: int = DEFAULT_BUDGET) -> VanishingCheck:
     """Compare lattice degree with the brute-force point count."""
-    deg = build_toric_lattice(spec).degree()
+    # the count goes first: its budget refuses a large grid before elimination
     count = len(enumerate_toric_set(spec, budget=budget))
+    deg = build_toric_lattice(spec).degree()
     return VanishingCheck(lattice_degree=deg, point_count=count, agree=deg == count)
 
 
@@ -289,16 +290,10 @@ def build_laplacian_lattice(g: GraphSpec) -> HomogeneousLattice:
     return HomogeneousLattice.from_rows(_laplacian_rows(g), ambient_dim=g.vertex_count)
 
 
-def reduced_laplacian(g: GraphSpec, drop_vertex: int | None = None) -> ZMatrix:
-    """Laplacian with one vertex's row and column deleted (default: last)."""
-    s = g.vertex_count
-    if drop_vertex is None:
-        drop_vertex = s - 1
-    if not 0 <= drop_vertex < s:
-        raise ValueError(f"vertex {drop_vertex} out of range")
-    full = _laplacian_rows(g)
-    keep = [v for v in range(s) if v != drop_vertex]
-    return ZMatrix.from_rows([[full[i][j] for j in keep] for i in keep], cols=s - 1)
+def reduced_laplacian(g: GraphSpec) -> ZMatrix:
+    """Laplacian without the last vertex's row and column (any vertex gives the same det)."""
+    rows = _laplacian_rows(g)[:-1]
+    return ZMatrix.from_rows([row[:-1] for row in rows], cols=g.vertex_count - 1)
 
 
 def spanning_tree_count(g: GraphSpec) -> int:

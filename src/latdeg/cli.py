@@ -6,8 +6,10 @@ in which unbounded integers are decimal strings; ``emit`` prints its
 script either way.  Exit status: 0 on success, 1 when the inputs are
 outside an operation's mathematical domain or when standard output is
 closed before the report is written, 2 on usage or parse errors.
-Each command is a fresh process that pays for every module it imports,
-so :mod:`json` is imported only when ``--json`` output is written.
+Integers of any length are read from files and written: ``main`` lifts
+Python's limit on their decimal digits while it runs.  Each command is
+a fresh process that pays for every module it imports, so :mod:`json`
+is imported only when ``--json`` output is written.
 """
 
 from __future__ import annotations
@@ -318,6 +320,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--budget must be at least 1")
     if getattr(args, "max_degree", 0) < 0:
         parser.error("--max-degree must be nonnegative")
+    # integers are unbounded: lift Python's limit on their decimal digits
+    # (0 where there is none) for this run, and give the caller theirs back
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
     try:
         report = args.func(args)
         if report is not None:
@@ -334,6 +341,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

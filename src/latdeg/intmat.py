@@ -1,14 +1,14 @@
 """Exact integer matrix algebra.
 
-Everything here runs over Python's unbounded integers: Smith and Hermite
-normal forms, fraction-free determinants, and integer kernels.  Each
-normal form has one elimination loop.  Its unimodular transforms are
-identity blocks placed beside the matrix and carried along by the same
-row and column operations; the invariant factors and Hermite bases run
-the same loop with nothing carried.  No floating point, no
-fixed-width arithmetic anywhere: a matrix takes its entries through
-``operator.index``, so a float or a string is refused, never truncated.
-The forms with transforms come back as immutable records.
+Everything here runs over Python's unbounded integers: invariant
+factors, Hermite normal forms, fraction-free determinants, and integer
+kernels.  Each normal form has one elimination loop.  The Hermite row
+transform is an identity block beside the matrix, carried along by the
+same row operations and returned in an immutable record; the degree
+needs only the invariant factors, so no Smith transform is built here.
+No floating point, no fixed-width arithmetic anywhere: a matrix takes
+its entries through ``operator.index``, so a float or a string is
+refused, never truncated.
 
 The invariant factors alone are computed modulo D, the gcd of the r x r
 minors (r the rank) that one Bareiss pass already produces; that pass
@@ -27,15 +27,12 @@ from operator import index
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .errors import DimensionMismatch, FormatError, NonSquare
+from .errors import FormatError, NonSquare
 
 __all__ = [
     "ZMatrix",
-    "SmithDecomposition",
     "HermiteForm",
-    "mat_mul",
     "determinant",
-    "smith_normal_form",
     "smith_invariants",
     "hermite_normal_form",
     "hermite_basis",
@@ -102,19 +99,10 @@ class ZMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
-
     def to_rows(self) -> list[list[int]]:
         """Mutable row-of-lists copy (the working form for elimination)."""
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
-
-    def __matmul__(self, other: "ZMatrix") -> "ZMatrix":
-        return mat_mul(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZMatrix):
@@ -129,21 +117,6 @@ class ZMatrix:
             f"ZMatrix({self.rows}, {self.cols}, ())"
 
 
-class SmithDecomposition(Record):
-    """Unimodular u, v and diagonal d with u @ a @ v == d.
-
-    The diagonal of ``d`` is ``invariant_factors`` (each positive, each
-    dividing the next) followed by zeros; ``rank`` counts the nonzero
-    diagonal entries.
-    """
-
-    u: ZMatrix
-    d: ZMatrix
-    v: ZMatrix
-    invariant_factors: tuple[int, ...]
-    rank: int
-
-
 class HermiteForm(Record):
     """Row-style upper echelon form with transform @ a == h.
 
@@ -155,27 +128,6 @@ class HermiteForm(Record):
     h: ZMatrix
     transform: ZMatrix
     rank: int
-
-
-def mat_mul(a: ZMatrix, b: ZMatrix) -> ZMatrix:
-    """Exact matrix product."""
-    if a.cols != b.rows:
-        raise DimensionMismatch(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
-        )
-    bc = b.cols
-    brows = [b.row(i) for i in range(b.rows)]
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        acc = [0] * bc
-        for k, aik in enumerate(arow):
-            if aik:
-                brow = brows[k]
-                for j in range(bc):
-                    acc[j] += aik * brow[j]
-        out.extend(acc)
-    return ZMatrix(a.rows, bc, out)
 
 
 def _fraction_free(a: ZMatrix) -> tuple[int, int, tuple[int, ...], tuple | None]:
@@ -243,14 +195,19 @@ def determinant(a: ZMatrix) -> int:
 def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> tuple[int, ...]:
     """The Smith elimination loop, in place on the rows ``d``.
 
-    Pivots only inside the m x s block at the top left, and returns its
-    invariant factors.  Rows below the block and columns to its right
-    are carried along by the same swaps, subtractions and sign flips, so
-    identity blocks placed there come out as the transforms (Cohen,
-    GTM 138, 2.4).  Once pivot t is being worked on, rows and columns
-    before t of the block are zero outside the diagonal, so row
-    operations touch only columns >= t and column operations only rows
-    >= t.
+    Classical elimination: move an entry of minimal absolute value in
+    the working block to the pivot position, clear its row and column
+    with integer row and column operations, and fold any block entry
+    the pivot does not divide back into the pivot row, so the diagonal
+    comes out as a divisibility chain of positive factors.  Pivots only
+    inside the m x s block at the top left, and returns its invariant
+    factors.  Rows below the block are carried along by the same column
+    swaps and subtractions, so an identity block placed there comes out
+    as the column transform V (Cohen, GTM 138, 2.4); only
+    ``HomogeneousLattice.smith_coordinates`` places one.  Once pivot t
+    is being worked on, rows and columns before t of the block are zero
+    outside the diagonal, so row operations touch only columns >= t and
+    column operations only rows >= t.
 
     With a positive ``modulus`` D (and nothing carried) every entry is
     kept reduced mod D, so the loop eliminates the lattice spanned by
@@ -350,42 +307,18 @@ def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> 
     return tuple(d[i][i] for i in range(limit) if d[i][i])
 
 
-def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
-
-    Classical elimination: repeatedly move the entry of minimal absolute
-    value in the working block to the pivot position, clear its row and
-    column with integer row/column operations, and fold any block entry
-    the pivot does not divide back into the pivot row so the diagonal
-    comes out as a divisibility chain.  Invariant factors are normalized
-    positive.  Deterministic for a given input.  The loop runs on
-    [[a | I_m], [I_s | 0]], which it turns into [[d | u], [v | 0]].
-    """
-    m, s = a.rows, a.cols
-    rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a.to_rows())]
-    rows += [[int(i == j) for j in range(s)] + [0] * m for i in range(s)]
-    factors = _smith_elimination(rows, m, s)
-    return SmithDecomposition(
-        u=ZMatrix.from_rows([row[s:] for row in rows[:m]], cols=m),
-        d=ZMatrix.from_rows([row[:s] for row in rows[:m]], cols=s),
-        v=ZMatrix.from_rows([row[:s] for row in rows[m:]], cols=s),
-        invariant_factors=factors,
-        rank=len(factors),
-    )
-
-
 def smith_invariants(a: ZMatrix) -> tuple[int, ...]:
     """The invariant factors of ``a``, without the unimodular transforms.
 
-    Returns the same ``invariant_factors`` as :func:`smith_normal_form`,
-    computed modulo D, the gcd of the r x r minors that one Bareiss pass
-    (r the rank) leaves in its last pivot row and column.  This is exact:
-    the product d_1 ... d_r of the first r invariant factors divides
-    every r x r minor, so each d_i divides D, and the lattice spanned by
-    the rows of ``a`` and D*Z^n has the invariant factors
-    d_1 | ... | d_r | D | ... | D, whose first r are the d_i.  Entries of
-    the elimination therefore stay below D, which is far smaller than
-    the coefficient swell of the unreduced loop.
+    Returns the factors of the exact Smith loop, computed modulo D, the
+    gcd of the r x r minors that one Bareiss pass (r the rank) leaves in
+    its last pivot row and column.  This is exact: the product
+    d_1 ... d_r of the first r invariant factors divides every r x r
+    minor, so each d_i divides D, and the lattice spanned by the rows of
+    ``a`` and D*Z^n has the invariant factors d_1 | ... | d_r | D | ... | D,
+    whose first r are the d_i.  Entries of the elimination therefore
+    stay below D, which is far smaller than the coefficient swell of the
+    unreduced loop.
     """
     return _smith_pass(a)[0]
 

@@ -12,9 +12,11 @@ Bareiss pass, gives the echelon basis that answers membership and
 element-order queries by integer reduction, canonical coset
 representatives, the simplex-volume reading of the degree (the product
 of its pivots, the index of L'), and an upper bound for where the
-associated counting function goes constant.  Query vectors must hold
-integers (``operator.index``); the torsion structure is an immutable
-record.
+associated counting function goes constant.  Only ``smith_coordinates``
+carries a transform: on each call it reruns the exact Smith loop with
+an identity block below the generators, which comes out as V.  Query
+vectors must hold integers (``operator.index``); the torsion structure
+is an immutable record.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import DimensionMismatch, DomainError, NotHomogeneous, RankMismatch
-from .intmat import ZMatrix, _hermite_elimination, _smith_pass, _tail_modulus, smith_normal_form
+from .intmat import ZMatrix, _hermite_elimination, _smith_elimination, _smith_pass, _tail_modulus
 
 __all__ = ["HomogeneousLattice", "TorsionStructure"]
 
@@ -106,13 +108,15 @@ class HomogeneousLattice:
         With ``w = v @ V``, the lattice consists exactly of the vectors
         whose first ``rank`` transformed coordinates are divisible by the
         matching invariant factors and whose remaining coordinates vanish.
-        Runs :func:`smith_normal_form` of the generators on each call;
-        nothing on the degree path needs the transforms.
+        Runs the exact Smith loop on each call, on the generator rows
+        with an identity block below them, which comes out as V; nothing
+        on the degree path needs a transform.
         """
         w = self._vector(v)
-        vmat = smith_normal_form(self.generators).v
-        cols = [vmat.column(j) for j in range(self.ambient_dim)]
-        return tuple(sum(x * c for x, c in zip(w, col)) for col in cols)
+        m, s = self.generators.rows, self.ambient_dim
+        rows = self.generators.to_rows() + ZMatrix.identity(s).to_rows()
+        _smith_elimination(rows, m, s)
+        return tuple(sum(x * row[j] for x, row in zip(w, rows[m:])) for j in range(s))
 
     def _vector(self, v: Sequence[int]) -> list[int]:
         s = self.ambient_dim

@@ -1,16 +1,72 @@
-"""Shared helpers: independent oracles and random-input generators.
+"""Shared helpers: independent oracles, a Smith reference and random-input generators.
 
 The oracles here deliberately avoid the library's elimination code so
 that agreement means something: determinants by cofactor expansion,
 invariant factors by gcds of minors, membership by bounded coefficient
 search, coset counts by pairwise membership tests, spanning structure
 by hand.
+
+``smith_normal_form`` is not one of them.  It reuses the library's
+exact Smith loop with identity blocks carried beside the matrix, so it
+checks that loop's transforms (``U @ A @ V == D`` through ``mat_mul``,
+both unimodular) but cannot vouch for its invariant factors on its own;
+``minors_invariant_factors`` is the independent reference for those.
 """
 
 import itertools
 from math import gcd
 
-from latdeg import GraphSpec, HomogeneousLattice, ToricSetSpec, ZMatrix
+from latdeg import DimensionMismatch, GraphSpec, HomogeneousLattice, ToricSetSpec, ZMatrix
+from latdeg._record import Record
+from latdeg.intmat import _smith_elimination
+
+
+class SmithDecomposition(Record):
+    """Unimodular u, v and diagonal d with u @ a @ v == d.
+
+    The diagonal of ``d`` is ``invariant_factors`` (each positive, each
+    dividing the next) followed by zeros; ``rank`` counts the nonzero
+    diagonal entries.
+    """
+
+    u: ZMatrix
+    d: ZMatrix
+    v: ZMatrix
+    invariant_factors: tuple
+    rank: int
+
+
+def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
+    """Smith normal form with transforms, from the library's exact Smith loop.
+
+    The loop runs on [[a | I_m], [I_s | 0]], which it turns into
+    [[d | u], [v | 0]] (Cohen, GTM 138, 2.4).
+    """
+    m, s = a.rows, a.cols
+    rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a.to_rows())]
+    rows += [[int(i == j) for j in range(s)] + [0] * m for i in range(s)]
+    factors = _smith_elimination(rows, m, s)
+    return SmithDecomposition(
+        u=ZMatrix.from_rows([row[s:] for row in rows[:m]], cols=m),
+        d=ZMatrix.from_rows([row[:s] for row in rows[:m]], cols=s),
+        v=ZMatrix.from_rows([row[:s] for row in rows[m:]], cols=s),
+        invariant_factors=factors,
+        rank=len(factors),
+    )
+
+
+def mat_mul(a: ZMatrix, b: ZMatrix) -> ZMatrix:
+    """Exact matrix product, by the schoolbook sum over k of a[i, k] * b[k, j]."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return ZMatrix(a.rows, b.cols, [
+        sum(a[i, k] * b[k, j] for k in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)
+    ])
+
+
+def diagonal(a: ZMatrix) -> tuple:
+    return tuple(a[i, i] for i in range(min(a.rows, a.cols)))
 
 
 def cofactor_det(rows):

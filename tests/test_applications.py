@@ -113,6 +113,18 @@ def test_enumerate_budget():
     assert (exc.value.needed, exc.value.budget) == (2002**2, 2_000_000)
 
 
+def test_vanishing_check_refuses_before_eliminating(monkeypatch):
+    def fail(spec):
+        raise AssertionError("the toric lattice was built before the budget check")
+
+    monkeypatch.setattr(applications, "build_toric_lattice", fail)
+    # q = 5, n = 1600: a 4^1600 grid, and a 1603 x 1601 kernel problem
+    spec = ToricSetSpec(q=5, exponents=tuple((i, 1, 2 * i) * 533 + (i,) for i in range(3)))
+    with pytest.raises(BudgetExceeded) as exc:
+        check_vanishing_degree(spec)
+    assert (exc.value.needed, exc.value.budget) == (4**1600, 2_000_000)
+
+
 def test_toric_set_is_multiplicative_group():
     rng = random.Random(33)
     for _ in range(6):
@@ -226,8 +238,19 @@ def test_sandpile_check_builds_one_lattice(monkeypatch):
 
 
 def test_reduced_laplacian_drop_choice_is_irrelevant():
-    for v in range(4):
-        assert abs(determinant(reduced_laplacian(K4, drop_vertex=v))) == 16
+    # two triangles sharing edge 1-2, plus a pendant vertex 4 on vertex 3;
+    # vertex degrees 2, 3, 3, 3, 1, so no relabeling is an automorphism
+    s, edges = 5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 3))
+    reduced = set()
+    for v in range(s):
+        # swap v and the last vertex, so that v is the one deleted
+        label = list(range(s))
+        label[v], label[s - 1] = s - 1, v
+        g = GraphSpec(s, tuple((label[i], label[j]) for i, j in edges))
+        matrix = reduced_laplacian(g)
+        reduced.add(matrix)
+        assert abs(determinant(matrix)) == spanning_tree_count(g) == 8
+    assert len(reduced) == s
 
 
 def test_graph_validation():

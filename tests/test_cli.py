@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -262,6 +264,64 @@ def test_lattice_summary_big_ints_are_strings(write, capsys):
     assert payload["degree"] == "9120311200000"
     assert payload["invariant_factors"][-1] == "91203112000"
     assert isinstance(payload["ambient_dim"], int)
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Python's limit on int <-> str digits set to ``digits`` (0: none), where it exists."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+BIG = 10**4000
+NINES = 10**4300 - 1  # 4,300 digits, Python's default limit; twice it has 4,301
+TORIC_Q, TORIC_N = 1000003, 800  # a grid of (q-1)^n points, 4,801 digits
+TORIC = f"{TORIC_Q} {TORIC_N} 3\n" + "".join(
+    " ".join(str(i * (j % 5)) for j in range(TORIC_N)) + "\n" for i in range(1, 4)
+)
+# (argv before the file, file text, exit code, stdout, stderr), built with no digit limit
+BIG_INT_CASES = {
+    "degree": lambda: (["degree"], f"2 3\n{BIG} {-BIG} 0\n0 {BIG} {-BIG}\n", 0,
+                       f"degree {BIG * BIG}\n", ""),
+    "degree-json": lambda: (
+        ["degree", "--json"], f"2 3\n{BIG} {-BIG} 0\n0 {BIG} {-BIG}\n", 0,
+        json.dumps({"ambient_dim": 3, "rank": 2, "invariant_factors": [str(BIG)] * 2,
+                    "torsion_order": str(BIG * BIG), "degree": str(BIG * BIG),
+                    "regularity_upper_bound": 2 * BIG - 1}, indent=2) + "\n", ""),
+    "not-homogeneous": lambda: (
+        ["degree"], f"1 2\n{NINES} {NINES}\n", 1, "",
+        f"error: NotHomogeneous: generator row 0 has coordinate sum {2 * NINES}, expected 0\n"),
+    "toric-budget": lambda: (
+        ["toric"], TORIC, 1, "",
+        f"error: BudgetExceeded: parameter grid size {(TORIC_Q - 1) ** TORIC_N} "
+        "exceeds budget 2000000\n"),
+    "long-entry": lambda: (["snf"], f"1 1\n{NINES + 1}\n", 0,
+                           f"rank 1\ninvariant factors {NINES + 1}\n", ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_INT_CASES))
+def test_integers_past_the_str_digit_limit(name, write, capsys):
+    with int_digit_limit(0):
+        argv, text, code, out, err = BIG_INT_CASES[name]()
+        path = write("big.txt", text)
+    with int_digit_limit(4300):
+        assert run(capsys, argv[0], path, *argv[1:]) == (code, out, err)
+        assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
+
+
+def test_main_restores_the_callers_digit_limit(write, capsys):
+    with int_digit_limit(5000):
+        assert run(capsys, "degree", write("m.mat", EXAMPLE2)) == (0, "degree 90\n", "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 5000)() == 5000
 
 
 def test_not_homogeneous_is_domain_error(write, capsys):

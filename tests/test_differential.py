@@ -2,13 +2,14 @@
 
 The lattice answers membership and element-order queries by reducing
 against its Hermite basis; the reference here is the Smith-coordinate
-formula read off the Smith decomposition of the generators.  The
-lattice runs one Hermite elimination on the generators without their
-last column, modulo a gcd of minors at rank s - 1 and exactly below
-it; its basis is checked against the exact ``hermite_basis`` of the
-full generators at every rank, and its volume (the product of the
-pivots) against the determinant of that basis without its last
-column.  The breadth-first coset counts of
+formula read off the reference Smith decomposition of the generators
+(``conftest.smith_normal_form``), whose coordinates must also equal
+``smith_coordinates``.  The lattice runs one Hermite elimination on the
+generators without their last column, modulo a gcd of minors at rank
+s - 1 and exactly below it; its basis is checked against the exact
+``hermite_basis`` of the full generators at every rank, and its volume
+(the product of the pivots) against the determinant of that basis
+without its last column.  The breadth-first coset counts of
 ``hilbert_profile`` are checked against pairwise membership tests
 between monomials.
 """
@@ -19,7 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, minors_invariant_factors, pairwise_coset_count
+from conftest import (
+    cofactor_det,
+    minors_invariant_factors,
+    pairwise_coset_count,
+    smith_normal_form,
+)
 from latdeg import (
     HomogeneousLattice,
     ZMatrix,
@@ -28,7 +34,6 @@ from latdeg import (
     hermite_normal_form,
     hilbert_profile,
     smith_invariants,
-    smith_normal_form,
 )
 from latdeg.intmat import _fraction_free, _tail_modulus
 
@@ -123,9 +128,14 @@ def lattices_with_vectors(draw):
 
 
 def smith_reference(lattice, v):
-    """(contains, element_order) from the Smith coordinates of ``v``."""
+    """(contains, element_order) from the Smith coordinates of ``v``.
+
+    The coordinates w = v @ V come from the V of the reference Smith
+    form, and must equal what ``lattice.smith_coordinates`` returns.
+    """
     dec = smith_normal_form(lattice.generators)
-    w = lattice.smith_coordinates(v)
+    w = tuple(sum(x * dec.v[i, j] for i, x in enumerate(v)) for j in range(len(v)))
+    assert lattice.smith_coordinates(v) == w
     factors, r = dec.invariant_factors, dec.rank
     if any(w[r:]):
         return False, None

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import cofactor_det, minors_invariant_factors, random_int_matrix
+from conftest import (
+    cofactor_det,
+    diagonal,
+    mat_mul,
+    minors_invariant_factors,
+    random_int_matrix,
+    smith_normal_form,
+)
 from latdeg import (
     DimensionMismatch,
     NonSquare,
@@ -11,9 +18,7 @@ from latdeg import (
     format_matrix,
     hermite_normal_form,
     integer_kernel,
-    mat_mul,
     parse_matrix,
-    smith_normal_form,
 )
 from latdeg.errors import FormatError
 
@@ -32,7 +37,7 @@ def check_decomposition(a, dec):
     assert mat_mul(mat_mul(dec.u, a), dec.v) == dec.d
     assert abs(determinant(dec.u)) == 1
     assert abs(determinant(dec.v)) == 1
-    diag = dec.d.diagonal()
+    diag = diagonal(dec.d)
     assert dec.invariant_factors == tuple(x for x in diag if x)
     # diagonal and chain layout: factors first, then zeros
     for i in range(dec.d.rows):

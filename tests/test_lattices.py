@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     brute_force_contains,
+    mat_mul,
     random_corank1_lattice,
     random_homogeneous_rows,
     random_unimodular,
@@ -16,7 +17,6 @@ from latdeg import (
     ZMatrix,
     hermite_normal_form,
     hilbert_profile,
-    mat_mul,
 )
 from latdeg import intmat, lattices
 

@@ -1,4 +1,8 @@
-"""The record contract of the nine report and spec types.
+"""The record contract of the report and spec types.
+
+The library's nine record types are covered, plus the test-side
+``SmithDecomposition`` that ``conftest.smith_normal_form`` returns, a
+record with three matrix fields.
 
 Each record is built by position or by keyword with its field names,
 refuses a missing or unknown field with ``TypeError``, shows its fields
@@ -12,6 +16,7 @@ import pickle
 
 import pytest
 
+from conftest import SmithDecomposition, smith_normal_form
 from latdeg import (
     CiHypothesisCheck,
     DegreeCheck,
@@ -20,13 +25,11 @@ from latdeg import (
     HilbertProfile,
     HomogeneousLattice,
     SandpileCheck,
-    SmithDecomposition,
     ToricSetSpec,
     TorsionStructure,
     VanishingCheck,
     ZMatrix,
     hermite_normal_form,
-    smith_normal_form,
     verify_degree,
 )
 
