@@ -28,7 +28,7 @@ from .applications import (
     parse_graph,
     parse_toric_spec,
 )
-from .errors import DomainError, FormatError
+from .errors import BudgetExceeded, DomainError, FormatError
 from .hilbert import DEFAULT_BUDGET, hilbert_profile, verify_degree
 from .intmat import ZMatrix, format_matrix, hermite_basis, parse_matrix, smith_invariants
 from .lattices import HomogeneousLattice
@@ -44,8 +44,11 @@ def emit_cas_script(lattice: HomogeneousLattice, fmt: str = "macaulay2") -> str:
     product of the variables, and ask for the degree.  ``maple``: feed
     the generator matrix to SmithForm.  The artifact never executes
     these; they exist so a human can cross-validate with independent
-    software.
+    software.  A lattice in Z^0 has no variables to write a script in,
+    so it is refused.
     """
+    if lattice.ambient_dim == 0:
+        raise DomainError("ambient dimension is 0; a script needs a lattice in Z^s with s >= 1")
     if fmt == "macaulay2":
         return _macaulay2_script(lattice)
     if fmt == "maple":
@@ -158,19 +161,32 @@ def _read_text(path: str) -> str:
             ) from None
 
 
+def _read_matrix(path: str) -> ZMatrix:
+    """The matrix in ``path``, refused past ``DEFAULT_BUDGET`` cells.
+
+    A zero-column header needs no row lines, yet sets a row count that
+    every command walks, so each row counts as at least one cell.
+    """
+    a = parse_matrix(_read_text(path))
+    cells = a.rows * max(a.cols, 1)
+    if cells > DEFAULT_BUDGET:
+        raise BudgetExceeded(cells, DEFAULT_BUDGET, "matrix cell count")
+    return a
+
+
 def _read_lattice(path: str) -> HomogeneousLattice:
-    return HomogeneousLattice(parse_matrix(_read_text(path)))
+    return HomogeneousLattice(_read_matrix(path))
 
 
 def _cmd_snf(args) -> list:
-    a = parse_matrix(_read_text(args.input))
+    a = _read_matrix(args.input)
     factors = smith_invariants(a)
     return [("rows", None, a.rows), ("cols", None, a.cols), ("rank", "rank", len(factors)),
             ("invariant_factors", "invariant factors", factors)]
 
 
 def _cmd_hnf(args) -> list:
-    a = parse_matrix(_read_text(args.input))
+    a = _read_matrix(args.input)
     basis = hermite_basis(a)
     h = ZMatrix.from_rows(basis.to_rows() + [[0] * a.cols] * (a.rows - basis.rows), cols=a.cols)
     return [("rank", "rank", basis.rows), ("h", None, h.to_rows()), (None, None, format_matrix(h))]

@@ -5,6 +5,9 @@ domain (the CLI maps them to exit status 1).  ``FormatError`` means an
 input file could not be parsed (exit status 2).
 """
 
+__all__ = ["DomainError", "DimensionMismatch", "NonSquare", "NotHomogeneous", "RankMismatch",
+           "BudgetExceeded", "NotStabilized", "Disconnected", "NonPrimeField", "FormatError"]
+
 
 class DomainError(Exception):
     """Input is outside the mathematical domain of the requested operation."""

@@ -118,6 +118,19 @@ def test_snf_hnf_of_empty_matrix_build_no_transform(write, capsys, command, text
     assert peak < 8 * 2**20
 
 
+# a zero-column header needs no row lines, yet each command walked every row
+@pytest.mark.parametrize("command, text", [
+    *((command, "2000001 0\n")
+      for command in ("snf", "hnf", "degree", "torsion", "hilbert", "verify", "emit")),
+    pytest.param("snf", "1 2000001\n" + "0 " * 2000001 + "\n", id="snf-1 2000001"),
+])
+def test_matrix_past_the_cell_budget_is_refused(write, capsys, command, text):
+    code, out, err = run(capsys, command, write("big.mat", text))
+    assert code == 1
+    assert out == ""
+    assert err == "error: BudgetExceeded: matrix cell count 2000001 exceeds budget 2000000\n"
+
+
 def test_torsion_command(write, capsys):
     code, out, _ = run(capsys, "torsion", write("m.mat", EXAMPLE2))
     assert code == 0
@@ -359,9 +372,12 @@ def test_bad_flag_values_exit_2(write, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["degree", "verify", "hilbert"])
+@pytest.mark.parametrize(
+    "command", ["degree", "verify", "hilbert", "emit", "emit --format maple"]
+)
 def test_zero_ambient_dimension_is_domain_error(write, capsys, command):
-    code, out, err = run(capsys, command, write("empty.mat", "0 0\n"))
+    name, *flags = command.split()
+    code, out, err = run(capsys, name, write("empty.mat", "0 0\n"), *flags)
     assert code == 1
     assert out == ""
     assert "DomainError: ambient dimension is 0" in err

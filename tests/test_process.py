@@ -43,6 +43,24 @@ def test_cli_import_path_stays_light():
     assert layers <= _modules_after("import latdeg")
 
 
+def test_package_reexports_each_layer_all():
+    import latdeg
+    from latdeg import applications, errors, hilbert, intmat, lattices
+
+    layers = (intmat, lattices, hilbert, applications, errors)
+    expected = ["__version__", *(name for layer in layers for name in layer.__all__)]
+    assert len(set(expected)) == len(expected)
+    assert sorted(latdeg.__all__) == sorted(expected)
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(latdeg, name) is getattr(layer, name), name
+    namespace = {}
+    exec("from latdeg import *", namespace)
+    assert {name: namespace[name] for name in expected} == {
+        name: getattr(latdeg, name) for name in expected
+    }
+
+
 CASES = [
     ["snf", "data/example1.mat"],
     ["hnf", "data/example2.mat"],
