@@ -6,7 +6,7 @@ kernels.  Each normal form has one elimination loop.  The Hermite row
 transform is an identity block beside the matrix, carried along by the
 same row operations and returned in an immutable record; the degree
 needs only the invariant factors, so no Smith transform is built here.
-No floating point, no fixed-width arithmetic anywhere: a matrix takes
+No floating point and no machine-word arithmetic anywhere: a matrix takes
 its entries through ``operator.index``, so a float or a string is
 refused, never truncated.
 
@@ -18,6 +18,14 @@ stay below D instead of swelling.  The Hermite elimination also takes a
 modulus, a multiple of the index of a full-rank row lattice; the public
 Hermite functions run it exact.  The block the pass leaves at three
 columns gives such a multiple from other minors, without a second pass.
+
+With a modulus R, both loops pivot on a unit mod R wherever one is left
+and scale a row only by the inverse of a unit.  Their rows are packed
+one int each, a nonnegative field per column of the width that
+``_field_width`` bounds, so that clearing a column is one multiply-add
+per row (Kronecker substitution); a residue is read as the field mod R.
+Where no unit is left, the min-|x| loop runs on the unpacked, reduced
+rows.
 """
 
 from __future__ import annotations
@@ -85,10 +93,6 @@ class ZMatrix:
     @classmethod
     def identity(cls, n: int) -> "ZMatrix":
         return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ZMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -192,6 +196,53 @@ def determinant(a: ZMatrix) -> int:
     return signed_pivot if rank == a.rows else 0
 
 
+def _field_width(modulus: int, m: int, n: int) -> int:
+    """Bits per column of a packed m x n matrix mod R: 2*bits(R) + bits(max(m, n)) + 2.
+
+    A field starts below R and takes at most one add of c * x, with c
+    and x below R (a pivot row is reduced first), per eliminated column,
+    so it stays below R + max(m, n) * R**2 and never carries.
+    """
+    return 2 * modulus.bit_length() + max(m, n).bit_length() + 2
+
+
+def _pack(values: list[int], w: int) -> int:
+    """One int holding the nonnegative ``values`` in w-bit fields, the first lowest."""
+    v = 0
+    for x in reversed(values):
+        v = v << w | x
+    return v
+
+
+def _unit_pivots(d: list[list[int]], s: int, modulus: int) -> int:
+    """Unit pivots of the Smith loop mod R on packed rows; returns their number.
+
+    The row of an entry x with gcd(x, R) = 1, reduced and scaled by the
+    inverse of x mod R, clears its column with one multiply-add per row,
+    and then the pivot's row and column drop out: an invariant factor 1.
+    Leaves in ``d`` the reduced block that holds no unit.
+    """
+    w = _field_width(modulus, len(d), s)
+    mask = (1 << w) - 1
+    rows = [_pack([x % modulus for x in row], w) for row in d]
+    cols = list(range(s))
+    while True:
+        hit = next(((i, j) for i, v in enumerate(rows) for j in cols
+                    if gcd(v >> w * j & mask, modulus) == 1), None)
+        if hit is None:
+            d[:] = [[(v >> w * k & mask) % modulus for k in cols] for v in rows]
+            return s - len(cols)
+        i, j = hit
+        row = rows.pop(i)
+        cols.remove(j)
+        u = pow(row >> w * j & mask, -1, modulus)
+        pivot = sum((u * (row >> w * k & mask) % modulus) << w * k for k in cols)
+        for k, v in enumerate(rows):
+            y = (v >> w * j & mask) % modulus
+            if y:
+                rows[k] = v + (modulus - y) * pivot
+
+
 def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> tuple[int, ...]:
     """The Smith elimination loop, in place on the rows ``d``.
 
@@ -209,16 +260,20 @@ def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> 
     outside the diagonal, so row operations touch only columns >= t and
     column operations only rows >= t.
 
-    With a positive ``modulus`` D (and nothing carried) every entry is
-    kept reduced mod D, so the loop eliminates the lattice spanned by
-    the rows and D*Z^s, and the factors are gcd(diagonal entry, D) for
-    each of the min(m, s) diagonal positions.  The stray test then asks
-    for divisibility by gcd(pivot, D), the generator of the pivot's
-    ideal mod D; since that gcd divides D, residues of its multiples
-    stay its multiples, and the factors still form a divisibility chain.
+    With a positive ``modulus`` D (and nothing carried) the loop
+    eliminates the lattice spanned by the rows and D*Z^s, and the
+    factors are gcd(diagonal entry, D) for each of the min(m, s)
+    diagonal positions.  It first takes every unit pivot it can find
+    (``_unit_pivots``) on rows packed one int each, so that clearing a
+    column is one multiply-add per row; each gives the factor 1.  The
+    classical loop then runs on the block left, which holds no unit,
+    with every entry kept reduced mod D.  Its stray test asks for
+    divisibility by gcd(pivot, D), the generator of the pivot's ideal
+    mod D; since that gcd divides D, residues of its multiples stay its
+    multiples, and the factors still form a divisibility chain.
     """
-    if modulus:
-        d[:] = [[x % modulus for x in row] for row in d]
+    units = _unit_pivots(d, s, modulus) if modulus else 0
+    m, s = m - units, s - units
     t = 0
 
     def swap_cols(i, j):
@@ -303,7 +358,7 @@ def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> 
             d[t] = [-x for x in d[t]]
         t += 1
     if modulus:
-        return tuple(gcd(d[i][i], modulus) for i in range(limit))
+        return (1,) * units + tuple(gcd(d[i][i], modulus) for i in range(limit))
     return tuple(d[i][i] for i in range(limit) if d[i][i])
 
 
@@ -358,18 +413,31 @@ def _hermite_elimination(h: list[list[int]], s: int, modulus: int = 0) -> int:
 
     A positive ``modulus`` R (with nothing carried) requires a full-rank
     row lattice whose index divides R, so it contains R*Z^s
-    (Domich-Kannan-Trotter).  Rows at and below the pivot row stay
-    reduced mod R; the pivot is h = gcd(x, R) for the entry x left in
-    the column (R if it is all zero mod R), its row u * row mod R with
-    u*x = h mod R, and then R //= h.  Reduction above pivots is exact.
+    (Domich-Kannan-Trotter), and every column gets a pivot.  The rows
+    below the pivots are packed one int each, reduced mod R.  A column
+    with a unit mod R gets the pivot 1: the unit's row, reduced and
+    scaled by the inverse of the unit, clears the column with one
+    multiply-add per row.  A column without one is unpacked and worked
+    by the Euclid sweeps, with rows kept reduced mod R; its pivot is
+    h = gcd(x, R) for the entry x left (R if the column is all zero mod
+    R), its row u * row mod R with u*x = h mod R, and then R //= h.
+    Once R is 1 every entry is a unit and every pivot left is 1; R = 1
+    at the start gives the identity basis at once.  One bottom-up pass
+    at the end reduces each row exactly by the finished rows below it,
+    which unit pivots leave sparse; rows past the rank are dropped.
     """
     m = len(h)
+    if modulus == 1:
+        h[:] = [[int(c == k) for c in range(s)] for k in range(s)]
+        return s
     if modulus:
-        h[:] = [[x % modulus for x in row] for row in h]
+        w = _field_width(modulus, m, s)
+        mask = (1 << w) - 1
+        packed = [_pack([x % modulus for x in row], w) for row in h]
 
     def row_sub(i, k, q):  # row i -= q * row k
         hi, hk = h[i], h[k]
-        if modulus and i > k:
+        if modulus:
             for c in range(j, len(hi)):
                 hi[c] = (hi[c] - q * hk[c]) % modulus
         else:
@@ -380,6 +448,22 @@ def _hermite_elimination(h: list[list[int]], s: int, modulus: int = 0) -> int:
     for j in range(s):
         if r == m:
             break
+        if modulus:
+            shift = w * j
+            unit = next((i for i in range(r, m) if gcd(packed[i] >> shift & mask, modulus) == 1),
+                        None)
+            if unit is not None:
+                v, packed[unit] = packed[unit], packed[r]
+                u = pow(v >> shift & mask, -1, modulus)
+                h[r] = [0] * j + [1] + [u * (v >> w * c & mask) % modulus for c in range(j + 1, s)]
+                v = _pack(h[r][j:], w) << shift
+                for i in range(r + 1, m):
+                    y = (packed[i] >> shift & mask) % modulus
+                    if y:
+                        packed[i] += (modulus - y) * v
+                r += 1
+                continue
+            h[r:] = [[(v >> w * c & mask) % modulus for c in range(s)] for v in packed[r:]]
         pivoted = False
         while True:
             best = None
@@ -405,10 +489,13 @@ def _hermite_elimination(h: list[list[int]], s: int, modulus: int = 0) -> int:
             pivot = gcd(row[j], modulus)
             u = pow(row[j] // pivot, -1, modulus // pivot)
             h[r] = row[:j] + [pivot] + [u * x % modulus for x in row[j + 1 :]]
+            packed[r + 1 :] = [_pack(row, w) for row in h[r + 1 :]]
             modulus //= pivot
-        elif not pivoted:
+            r += 1
             continue
-        elif h[r][j] < 0:
+        if not pivoted:
+            continue
+        if h[r][j] < 0:
             h[r] = [-x for x in h[r]]
         pivot = h[r][j]
         for i in range(r):
@@ -416,6 +503,17 @@ def _hermite_elimination(h: list[list[int]], s: int, modulus: int = 0) -> int:
             if q:
                 row_sub(i, r, q)
         r += 1
+    if modulus:
+        del h[r:]
+        support = [()] * r  # the nonzero (column, entry) pairs of each reduced row
+        for i in range(r - 1, -1, -1):
+            row = h[i]
+            for k in range(i + 1, r):
+                q = row[k] // h[k][k]  # floor puts the entry into [0, pivot)
+                if q:
+                    for c, x in support[k]:
+                        row[c] -= q * x
+            support[i] = [(c, row[c]) for c in range(i, s) if row[c]]
     return r
 
 

@@ -65,6 +65,10 @@ def mat_mul(a: ZMatrix, b: ZMatrix) -> ZMatrix:
     ])
 
 
+def zero_matrix(rows, cols):
+    return ZMatrix(rows, cols, [0] * (rows * cols))
+
+
 def diagonal(a: ZMatrix) -> tuple:
     return tuple(a[i, i] for i in range(min(a.rows, a.cols)))
 

@@ -11,9 +11,13 @@ s - 1 and exactly below it; its basis is checked against the exact
 (the product of the pivots) against the determinant of that basis
 without its last column.  The breadth-first coset counts of
 ``hilbert_profile`` are checked against pairwise membership tests
-between monomials.
+between monomials.  The modular Smith and Hermite loops, which work on
+packed rows with unit pivots first, are checked directly against the
+lattice of the rows and R*Z^n, and through the lattice on bases whose
+degree has at least 40 bits and on non-cyclic groups.
 """
 
+import random
 from math import gcd, lcm, prod
 
 import pytest
@@ -22,9 +26,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     cofactor_det,
+    mat_mul,
     minors_invariant_factors,
     pairwise_coset_count,
+    random_unimodular,
     smith_normal_form,
+    zero_matrix,
 )
 from latdeg import (
     HomogeneousLattice,
@@ -35,7 +42,7 @@ from latdeg import (
     hilbert_profile,
     smith_invariants,
 )
-from latdeg.intmat import _fraction_free, _tail_modulus
+from latdeg.intmat import _fraction_free, _hermite_elimination, _smith_elimination, _tail_modulus
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -54,7 +61,7 @@ def small_matrices(draw, max_dim=4, bound=9):
     n = draw(st.integers(0, max_dim))
     kind = draw(st.sampled_from(["uniform", "huge", "zero", "low_rank", "diagonal"]))
     if kind == "zero":
-        return ZMatrix.zero(m, n)
+        return zero_matrix(m, n)
     if kind == "low_rank":
         r = draw(st.integers(0, min(m, n)))
         left = [draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)) for _ in range(m)]
@@ -148,7 +155,7 @@ def smith_reference(lattice, v):
 
 @SETTINGS
 @given(small_matrices())
-@example(ZMatrix.zero(3, 4))
+@example(zero_matrix(3, 4))
 @example(ZMatrix.from_rows([[1, 0], [0, 6]]))
 @example(ZMatrix.from_rows([[2, 4, 6], [4, 8, 12], [6, 12, 18]]))
 @example(ZMatrix.from_rows([[10**6, -(10**6)], [999_999, 10**6]]))
@@ -326,3 +333,137 @@ def test_corank_one_tail_cases(rows, s, smith, modulus):
         omitted = [cofactor_det(a[:i] + a[i + 1:]) for i in range(s)]
         assert smith == gcd(omitted[s - 1], omitted[s - 2])
         assert modulus == gcd(omitted[s - 4], omitted[s - 3])
+
+
+def with_modulus_rows(a, modulus):
+    """The rows of ``a`` and of modulus * I: the lattice the modular loops eliminate."""
+    n = a.cols
+    scaled = [[modulus * int(i == j) for j in range(n)] for i in range(n)]
+    return ZMatrix.from_rows(a.to_rows() + scaled, cols=n)
+
+
+def check_modular_loops(a, modulus, factors) -> bool:
+    """Both modular loops on ``a`` (n <= m rows) against ``factors`` and the exact Hermite basis.
+
+    The Smith loop mod R returns the first min(m, n) invariant factors of
+    the lattice of the rows and R*Z^n, for any R.  The Hermite loop
+    returns its Hermite basis, of rank n, when its index divides R
+    (Domich-Kannan-Trotter); returns whether that held and was checked.
+    """
+    assert _smith_elimination(a.to_rows(), a.rows, a.cols, modulus=modulus) == tuple(factors)
+    basis = hermite_basis(with_modulus_rows(a, modulus))
+    if modulus % prod(basis[i, i] for i in range(a.cols)):
+        return False
+    h = a.to_rows()
+    assert _hermite_elimination(h, a.cols, modulus=modulus) == a.cols
+    assert ZMatrix.from_rows(h, cols=a.cols) == basis
+    return True
+
+
+@st.composite
+def modular_cases(draw):
+    """(a, R): an m x n matrix with n <= m <= n + 2 and a modulus R.
+
+    R is small, a power of two or at least 2^40.  The entries are small
+    or up to 2R in size, all R - 1, or multiples of a divisor of R, so
+    that blocks and columns with no unit mod R, columns that are zero
+    mod R, and R falling to 1 part way through the Hermite loop occur.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, n + 2))
+    modulus = draw(st.one_of(st.integers(1, 60), st.sampled_from([2**k for k in range(1, 11)]),
+                             st.integers(2**40, 2**41)))
+    kind = draw(st.sampled_from(["entries", "top", "multiples"]))
+    if kind == "top":
+        return ZMatrix.from_rows([[modulus - 1] * n] * m, cols=n), modulus
+    g = gcd(draw(st.integers(1, 64)), modulus) if kind == "multiples" else 1
+    entry = st.integers(-9, 9) | st.integers(-2 * modulus, 2 * modulus)
+    rows = [[g * x for x in draw(st.lists(entry, min_size=n, max_size=n))] for _ in range(m)]
+    return ZMatrix.from_rows(rows, cols=n), modulus
+
+
+@SETTINGS
+@given(modular_cases())
+@example((ZMatrix.from_rows([[5, 1, 2], [0, 1, 0], [0, 0, 1]]), 5))  # R is 1 after column 0
+@example((ZMatrix.from_rows([[1, 4, 0], [0, 8, 1], [2, 0, 3], [1, 4, 1]]), 4))  # column 1 = 0 mod R
+@example((ZMatrix.from_rows([[2, 4], [6, 8], [4, 2], [2, 2]]), 16))  # no unit mod D = 2^k
+@example((ZMatrix.from_rows([[2**41 - 1] * 3] * 5), 2**41))  # all R - 1, m = n + 2
+def test_modular_loops_match_the_lattice_with_modulus_rows(case):
+    a, modulus = case
+    check_modular_loops(a, modulus, minors_invariant_factors(with_modulus_rows(a, modulus)))
+
+
+@pytest.mark.parametrize("n, modulus, g", [(8, 2**20 - 1, 15), (12, 2**40 - 1, 341), (12, 999, 27)])
+def test_modular_loops_at_the_largest_field_growth(n, modulus, g):
+    """Every unit sweep adds (R - 1)**2 to every field it touches.
+
+    Row i is P_0 + ... + P_i mod R, with P_t = e_t - e_{t+1} - ... - e_n,
+    so each pivot row, reduced, is 1 then R - 1 in every later column,
+    and every row below it has 1 in its column: the multiplier is R - 1.
+    The last row takes n - 1 such adds before it is reduced.  W is
+    unimodular, so scaling its last column by g | R leaves the factors
+    1, ..., 1, g.
+    """
+    rows = [[((c <= i) - min(i + 1, c)) % modulus for c in range(n)] for i in range(n)]
+    rows = [row[:-1] + [g * row[-1] % modulus] for row in rows]
+    a = ZMatrix.from_rows(rows, cols=n)
+    assert check_modular_loops(a, modulus, (1,) * (n - 1) + (g,))
+
+
+def lattice_of_head(head):
+    """The lattice whose generators are the rows of ``head``, each followed by minus its sum."""
+    return HomogeneousLattice.from_rows([row + [-sum(row)] for row in head])
+
+
+@pytest.mark.parametrize("extra", [0, 3], ids=["basis", "m=s+2"])
+@pytest.mark.parametrize("s", range(8, 25))
+def test_large_degree_lattices(s, extra):
+    """s - 1 random generators, and three combinations of them, with a degree of 40 bits or more.
+
+    The moduli D and D2 of both loops are then about as large as the
+    degree.  Factors are checked against the exact Smith loop and the
+    basis against the exact Hermite loop.
+    """
+    rng = random.Random(s)
+    basis = [[rng.randint(-999, 999) for _ in range(s - 1)] for _ in range(s - 1)]
+    combinations = []
+    for _ in range(extra):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        combinations.append([sum(c * row[k] for c, row in zip(coeffs, basis)) for k in range(s - 1)])
+    lattice = lattice_of_head(basis + combinations)
+    assert lattice.rank == s - 1
+    assert smith_modulus(lattice.generators.to_rows(), s) >= 2**40
+    assert lattice.invariant_factors == smith_normal_form(lattice.generators).invariant_factors
+    assert lattice.basis == hermite_basis(lattice.generators)
+    assert lattice.normalized_volume() == lattice.degree() == abs(determinant(ZMatrix.from_rows(basis)))
+
+
+def _30_bit_pair(seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(30) | 1 << 29 for _ in range(2)]
+
+
+(P1, Q1), (P2, Q2), (P3, Q3) = (_30_bit_pair(seed) for seed in range(3))
+
+
+@pytest.mark.parametrize("diagonal", [
+    [1, P1, P1 * Q1],
+    [1] * 5 + [P2, P2 * Q2],
+    [1] * 9 + [P3, P3 * Q3],
+    [1, 1, 1, 2, 4, 8],  # D = 2^6: the block left after the unit pivots holds no unit
+    [2, 2, 4, 16],  # D = 2^9: no unit anywhere
+], ids=["pq3", "pq7", "pq11", "pow2-tail", "pow2-all"])
+def test_unimodular_transforms_of_a_diagonal(diagonal):
+    """U diag(...) V with random unimodular U and V: the factors are the diagonal.
+
+    With 30-bit p and q the group is non-cyclic, Z/p x Z/pq, so the unit
+    pivots meet a block of multiples of p.
+    """
+    n = len(diagonal)
+    rng = random.Random(repr(diagonal))
+    d = ZMatrix.from_rows([[x * int(i == j) for j in range(n)] for i, x in enumerate(diagonal)])
+    a = mat_mul(mat_mul(random_unimodular(rng, n, ops=4 * n), d), random_unimodular(rng, n, ops=4 * n))
+    lattice = lattice_of_head(a.to_rows())
+    assert lattice.invariant_factors == tuple(diagonal)
+    assert lattice.basis == hermite_basis(lattice.generators)
+    assert lattice.normalized_volume() == lattice.degree() == prod(diagonal)

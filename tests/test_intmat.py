@@ -9,6 +9,7 @@ from conftest import (
     minors_invariant_factors,
     random_int_matrix,
     smith_normal_form,
+    zero_matrix,
 )
 from latdeg import (
     DimensionMismatch,
@@ -98,7 +99,7 @@ def test_smith_empty_and_zero():
     assert dec.d == ZMatrix(3, 0, ())
     assert dec.v == ZMatrix.identity(0)
 
-    zero = ZMatrix.zero(2, 2)
+    zero = zero_matrix(2, 2)
     dec = smith_normal_form(zero)
     assert dec.invariant_factors == ()
     assert dec.u == ZMatrix.identity(2)
@@ -266,7 +267,7 @@ def test_integer_kernel_random_annihilates_and_is_saturated():
         a = random_int_matrix(rng, m, s, 6)
         k = integer_kernel(a)
         for i in range(k.rows):
-            assert mat_mul(ZMatrix.from_rows([k.row(i)], cols=m), a) == ZMatrix.zero(1, s)
+            assert mat_mul(ZMatrix.from_rows([k.row(i)], cols=m), a) == zero_matrix(1, s)
         # saturation: every small solution of x @ a == 0 already lies in the
         # row span of the kernel basis, so stacking it changes nothing
         if m <= 3:
@@ -274,7 +275,7 @@ def test_integer_kernel_random_annihilates_and_is_saturated():
             import itertools
 
             for x in itertools.product(range(-3, 4), repeat=m):
-                if any(x) and mat_mul(ZMatrix.from_rows([x], cols=m), a) == ZMatrix.zero(1, s):
+                if any(x) and mat_mul(ZMatrix.from_rows([x], cols=m), a) == zero_matrix(1, s):
                     stacked = hermite_normal_form(
                         ZMatrix.from_rows(list(k.to_rows()) + [list(x)], cols=m)
                     )
