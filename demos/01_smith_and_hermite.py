@@ -1,9 +1,9 @@
 """Exact normal forms of integer matrices.
 
 Walks through invariant factors (the diagonal of the Smith normal
-form, computed without its unimodular transforms), the Hermite normal
-form with its row transform, determinants and integer kernels, on
-matrices small enough to eyeball.
+form, computed without its unimodular transforms), the Hermite basis
+of the row lattice, determinants and integer kernels, on matrices small
+enough to eyeball.
 """
 
 from math import prod
@@ -11,7 +11,7 @@ from math import prod
 from latdeg import (
     ZMatrix,
     determinant,
-    hermite_normal_form,
+    hermite_basis,
     integer_kernel,
     smith_invariants,
 )
@@ -40,11 +40,9 @@ print("  its first four columns: |det| =", abs(determinant(square)),
       "= product of their factors", prod(smith_invariants(square)))
 print()
 
-hf = hermite_normal_form(a)
 print("Hermite form (canonical basis of the row lattice):")
-for i in range(hf.rank):
-    print("  ", list(hf.h.row(i)))
-print("transform is unimodular:", abs(determinant(hf.transform)) == 1)
+for row in hermite_basis(a).to_rows():
+    print("  ", row)
 print()
 
 ones = ZMatrix.from_rows([[1], [1], [1]])

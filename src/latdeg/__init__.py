@@ -4,8 +4,8 @@ The degree of such an ideal equals the order of the torsion subgroup of
 Z^s modulo the defining lattice, i.e. the product of the invariant
 factors of any generator matrix.  This package computes that product
 with exact integer linear algebra, without unimodular transforms (no
-Smith transform is exported; ``hermite_normal_form`` keeps its row
-transform, which ``integer_kernel`` reads), and ships three independent
+Smith or Hermite transform is exported; ``integer_kernel`` reads the
+kernel off the Hermite form of [A | I]), and ships three independent
 brute-force oracles that confirm it at desk scale: coset counting by
 degree, point enumeration over prime fields, and spanning-tree
 enumeration for graph Laplacians.

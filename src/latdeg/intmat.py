@@ -2,10 +2,9 @@
 
 Everything here runs over Python's unbounded integers: invariant
 factors, Hermite normal forms, fraction-free determinants, and integer
-kernels.  Each normal form has one elimination loop.  The Hermite row
-transform is an identity block beside the matrix, carried along by the
-same row operations and returned in an immutable record; the degree
-needs only the invariant factors, so no Smith transform is built here.
+kernels.  Each normal form has one elimination loop, and no unimodular
+transform is returned: the degree needs only the invariant factors, and
+the integer kernel is read off the Hermite form of [A | I].
 No floating point and no machine-word arithmetic anywhere: a matrix takes
 its entries through ``operator.index``, so a float or a string is
 refused, never truncated.
@@ -34,15 +33,12 @@ from math import gcd
 from operator import index
 from typing import Iterable, Sequence
 
-from ._record import Record
 from .errors import FormatError, NonSquare
 
 __all__ = [
     "ZMatrix",
-    "HermiteForm",
     "determinant",
     "smith_invariants",
-    "hermite_normal_form",
     "hermite_basis",
     "integer_kernel",
     "parse_matrix",
@@ -119,19 +115,6 @@ class ZMatrix:
     def __repr__(self) -> str:
         return f"ZMatrix.from_rows({self.to_rows()!r})" if self.cols else \
             f"ZMatrix({self.rows}, {self.cols}, ())"
-
-
-class HermiteForm(Record):
-    """Row-style upper echelon form with transform @ a == h.
-
-    Pivots are positive, move strictly right row by row, and entries
-    above each pivot are reduced into [0, pivot).  The nonzero rows of
-    ``h`` are a basis of the row lattice of ``a``.
-    """
-
-    h: ZMatrix
-    transform: ZMatrix
-    rank: int
 
 
 def _fraction_free(a: ZMatrix) -> tuple[int, int, tuple[int, ...], tuple | None]:
@@ -401,32 +384,32 @@ def _tail_modulus(a: ZMatrix, tail: tuple | None) -> int:
     return gcd(*minors) // (p * p)
 
 
-def _hermite_elimination(h: list[list[int]], s: int, modulus: int = 0) -> int:
+def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> int:
     """The Hermite elimination loop, in place on the rows ``h``; returns the rank.
 
-    Pivots only in the first s columns.  Columns to their right are
-    carried along by the same swaps, subtractions and sign flips, so an
-    identity block placed there comes out as the row transform.  While
-    column j is being worked on, the rows at and below the current pivot
-    row are zero before column j; row operations only subtract multiples
-    of those rows, so they touch only columns >= j.
+    Pivots are positive, move strictly right row by row, and entries
+    above each pivot are reduced into [0, pivot), so the first rank rows
+    are the canonical basis of the row lattice.  While column j is being
+    worked on, the rows at and below the current pivot row are zero
+    before column j; row operations only subtract multiples of those
+    rows, so they touch only columns >= j.
 
-    A positive ``modulus`` R (with nothing carried) requires a full-rank
-    row lattice whose index divides R, so it contains R*Z^s
-    (Domich-Kannan-Trotter), and every column gets a pivot.  The rows
-    below the pivots are packed one int each, reduced mod R.  A column
-    with a unit mod R gets the pivot 1: the unit's row, reduced and
-    scaled by the inverse of the unit, clears the column with one
-    multiply-add per row.  A column without one is unpacked and worked
-    by the Euclid sweeps, with rows kept reduced mod R; its pivot is
-    h = gcd(x, R) for the entry x left (R if the column is all zero mod
-    R), its row u * row mod R with u*x = h mod R, and then R //= h.
-    Once R is 1 every entry is a unit and every pivot left is 1; R = 1
-    at the start gives the identity basis at once.  One bottom-up pass
-    at the end reduces each row exactly by the finished rows below it,
-    which unit pivots leave sparse; rows past the rank are dropped.
+    A positive ``modulus`` R requires a full-rank row lattice in Z^s
+    whose index divides R, so it contains R*Z^s (Domich-Kannan-Trotter),
+    and every one of the s columns gets a pivot.  The rows below the
+    pivots are packed one int each, reduced mod R.  A column with a unit
+    mod R gets the pivot 1: the unit's row, reduced and scaled by the
+    inverse of the unit, clears the column with one multiply-add per
+    row.  A column without one is unpacked and worked by the Euclid
+    sweeps, with rows kept reduced mod R; its pivot is h = gcd(x, R) for
+    the entry x left (R if the column is all zero mod R), its row u *
+    row mod R with u*x = h mod R, and then R //= h.  Once R is 1 every
+    entry is a unit and every pivot left is 1; R = 1 at the start gives
+    the identity basis at once.  One bottom-up pass at the end reduces
+    each row exactly by the finished rows below it, which unit pivots
+    leave sparse; rows past the rank are dropped.
     """
-    m = len(h)
+    m, s = len(h), len(h[0]) if h else 0
     if modulus == 1:
         h[:] = [[int(c == k) for c in range(s)] for k in range(s)]
         return s
@@ -517,33 +500,15 @@ def _hermite_elimination(h: list[list[int]], s: int, modulus: int = 0) -> int:
     return r
 
 
-def hermite_normal_form(a: ZMatrix) -> HermiteForm:
-    """Hermite normal form (row-style upper echelon) with transform.
-
-    Only unimodular row operations are used, so the nonzero rows of the
-    result are a basis of the row lattice of ``a`` and the returned
-    canonical form is unique for a given row lattice.  The loop runs on
-    [a | I_m], which it turns into [h | transform].
-    """
-    m, s = a.rows, a.cols
-    rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a.to_rows())]
-    r = _hermite_elimination(rows, s)
-    return HermiteForm(
-        h=ZMatrix.from_rows([row[:s] for row in rows], cols=s),
-        transform=ZMatrix.from_rows([row[s:] for row in rows], cols=m),
-        rank=r,
-    )
-
-
 def hermite_basis(a: ZMatrix) -> ZMatrix:
-    """The nonzero rows of the Hermite normal form of ``a``, without transform.
+    """The nonzero rows of the Hermite normal form of ``a``.
 
-    Runs the elimination of :func:`hermite_normal_form`; the result is
-    the canonical echelon basis of the row lattice of ``a``, one row per
-    unit of rank.
+    Only unimodular row operations are used, so the result is the
+    canonical echelon basis of the row lattice of ``a``, one row per
+    unit of rank, the same for every generating set of that lattice.
     """
     h = a.to_rows()
-    r = _hermite_elimination(h, a.cols)
+    r = _hermite_elimination(h)
     return ZMatrix.from_rows(h[:r], cols=a.cols)
 
 
@@ -552,14 +517,16 @@ def integer_kernel(a: ZMatrix) -> ZMatrix:
 
     The rows of the result are a basis over the integers of the full
     kernel lattice (a direct summand of Z^rows, not just a rational
-    basis), put into Hermite form for determinism.  Returns an empty
-    matrix when the kernel is trivial.
+    basis), in Hermite form.  Returns an empty matrix when the kernel is
+    trivial.  One elimination over all columns of [a | I] gives it: the
+    rows of that Hermite form are the vectors (x @ a, x), and those that
+    vanish on ``a`` are the Hermite basis of the kernel (Cohen, GTM 138,
+    2.4).
     """
-    hf = hermite_normal_form(a)
-    raw = [hf.transform.row(i) for i in range(hf.rank, a.rows)]
-    if not raw:
-        return ZMatrix(0, a.rows, ())
-    return hermite_basis(ZMatrix.from_rows(raw, cols=a.rows))
+    n = a.cols
+    h = [row + [int(i == j) for j in range(a.rows)] for i, row in enumerate(a.to_rows())]
+    _hermite_elimination(h)
+    return ZMatrix.from_rows([row[n:] for row in h if not any(row[:n])], cols=a.rows)
 
 
 def _content_lines(text: str) -> list[str]:

@@ -83,7 +83,7 @@ class HomogeneousLattice:
         self.rank = len(self.invariant_factors)
         h = head.to_rows()
         modulus = _tail_modulus(head, tail) if self.rank == s - 1 else 0
-        r = _hermite_elimination(h, head.cols, modulus=modulus)
+        r = _hermite_elimination(h, modulus=modulus)
         self.basis = ZMatrix.from_rows([row + [-sum(row)] for row in h[:r]], cols=s)
         pivots = []
         for i in range(r):

@@ -16,7 +16,14 @@ both unimodular) but cannot vouch for its invariant factors on its own;
 import itertools
 from math import gcd
 
-from latdeg import DimensionMismatch, GraphSpec, HomogeneousLattice, ToricSetSpec, ZMatrix
+from latdeg import (
+    DimensionMismatch,
+    GraphSpec,
+    HomogeneousLattice,
+    ToricSetSpec,
+    ZMatrix,
+    smith_invariants,
+)
 from latdeg._record import Record
 from latdeg.intmat import _smith_elimination
 
@@ -63,6 +70,34 @@ def mat_mul(a: ZMatrix, b: ZMatrix) -> ZMatrix:
         sum(a[i, k] * b[k, j] for k in range(a.cols))
         for i in range(a.rows) for j in range(b.cols)
     ])
+
+
+def check_hermite_basis(a: ZMatrix, basis: ZMatrix) -> None:
+    """Assert that ``basis`` is the Hermite basis of the row lattice of ``a``.
+
+    Shape: no zero row, positive pivots moving strictly right, and
+    entries above each pivot in [0, pivot).  Lattice: every row of ``a``
+    reduces to zero against ``basis``, so it lies in the row lattice of
+    ``basis``; the two lattices then have the same rational span exactly
+    when they have the same rank, and the same index in their saturation
+    exactly when their invariant factors (``smith_invariants``) agree, so
+    the two checks together make them equal.
+    """
+    pivots = []
+    for i in range(basis.rows):
+        row = basis.row(i)
+        p = next(j for j, x in enumerate(row) if x)
+        assert row[p] > 0 and all(0 <= basis[k, p] < row[p] for k in range(i))
+        pivots.append(p)
+    assert pivots == sorted(set(pivots))
+    for i in range(a.rows):
+        v = list(a.row(i))
+        for k, p in enumerate(pivots):
+            q, rem = divmod(v[p], basis[k, p])
+            assert rem == 0
+            v = [x - q * y for x, y in zip(v, basis.row(k))]
+        assert not any(v)
+    assert smith_invariants(a) == smith_invariants(basis)
 
 
 def zero_matrix(rows, cols):

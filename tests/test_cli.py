@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_int_matrix
-from latdeg import HomogeneousLattice, format_matrix, hermite_normal_form, parse_matrix
+from latdeg import HomogeneousLattice, ZMatrix, format_matrix, hermite_basis, parse_matrix
 from latdeg.cli import emit_cas_script, main
 
 EXAMPLE1 = """4 5
@@ -84,14 +84,15 @@ def test_hnf_command_pads_the_basis_to_the_hermite_form(write, capsys):
     rng = random.Random(77)
     for _ in range(20):
         a = random_int_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), 3)
-        hf = hermite_normal_form(a)
+        basis = hermite_basis(a)
+        h = basis.to_rows() + [[0] * a.cols] * (a.rows - basis.rows)
         code, out, _ = run(capsys, "hnf", write("m.mat", format_matrix(a)))
         assert code == 0
-        assert out == f"rank {hf.rank}\n" + format_matrix(hf.h)
+        assert out == f"rank {basis.rows}\n" + format_matrix(ZMatrix.from_rows(h, cols=a.cols))
         code, out, _ = run(capsys, "hnf", write("m.mat", format_matrix(a)), "--json")
         assert json.loads(out) == {
-            "rank": hf.rank,
-            "h": [[str(x) for x in hf.h.row(i)] for i in range(hf.h.rows)],
+            "rank": basis.rows,
+            "h": [[str(x) for x in row] for row in h],
         }
 
 

@@ -15,7 +15,7 @@ import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 DIGESTS = {
-    "01_smith_and_hermite.py": "13baa35e84fb36d6",
+    "01_smith_and_hermite.py": "e986ddb0c5d3f6e6",
     "02_lattice_degree.py": "588762bb4467e885",
     "03_hilbert_counting.py": "65187564d74681d7",
     "04_toric_points.py": "ee282743b0e9d865",

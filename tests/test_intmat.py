@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import (
+    check_hermite_basis,
     cofactor_det,
     diagonal,
     mat_mul,
@@ -17,9 +19,10 @@ from latdeg import (
     ZMatrix,
     determinant,
     format_matrix,
-    hermite_normal_form,
+    hermite_basis,
     integer_kernel,
     parse_matrix,
+    smith_invariants,
 )
 from latdeg.errors import FormatError
 
@@ -114,7 +117,7 @@ def test_smith_random_invariants():
         a = random_int_matrix(rng, m, s, 20)
         dec = smith_normal_form(a)
         check_decomposition(a, dec)
-        assert dec.rank == hermite_normal_form(a).rank
+        assert dec.rank == hermite_basis(a).rows
 
 
 def test_smith_matches_minors_oracle():
@@ -159,23 +162,12 @@ def test_smith_invariant_under_permutation_and_negation():
 
 
 def test_hermite_examples():
-    hf = hermite_normal_form(ZMatrix.from_rows([[2, 4], [0, 3]]))
-    assert hf.h == ZMatrix.from_rows([[2, 1], [0, 3]])
-    assert hf.rank == 2
-
+    assert hermite_basis(ZMatrix.from_rows([[2, 4], [0, 3]])) == ZMatrix.from_rows([[2, 1], [0, 3]])
     identity = ZMatrix.identity(3)
-    hf = hermite_normal_form(identity)
-    assert hf.h == identity
-    assert hf.transform == identity
-
-    hf = hermite_normal_form(ZMatrix.from_rows([[3, 3], [3, 3]]))
-    assert hf.h == ZMatrix.from_rows([[3, 3], [0, 0]])
-    assert hf.rank == 1
-
-    hf = hermite_normal_form(ZMatrix(3, 0, ()))
-    assert hf.h == ZMatrix(3, 0, ())
-    assert hf.transform == ZMatrix.identity(3)
-    assert hf.rank == 0
+    assert hermite_basis(identity) == identity
+    assert hermite_basis(ZMatrix.from_rows([[3, 3], [3, 3]])) == ZMatrix.from_rows([[3, 3]])
+    assert hermite_basis(ZMatrix(3, 0, ())) == ZMatrix(0, 0, ())
+    assert hermite_basis(ZMatrix(0, 3, ())) == ZMatrix(0, 3, ())
 
 
 def test_hermite_random_properties():
@@ -184,20 +176,9 @@ def test_hermite_random_properties():
         m = rng.randint(1, 4)
         s = rng.randint(1, 4)
         a = random_int_matrix(rng, m, s, 15)
-        hf = hermite_normal_form(a)
-        assert mat_mul(hf.transform, a) == hf.h
-        assert abs(determinant(hf.transform)) == 1
-        pivots = []
-        for i in range(hf.rank):
-            row = hf.h.row(i)
-            j = next(k for k, x in enumerate(row) if x)
-            pivots.append(j)
-            assert row[j] > 0
-            for above in range(i):
-                assert 0 <= hf.h[above, j] < row[j]
-        assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-        for i in range(hf.rank, m):
-            assert all(x == 0 for x in hf.h.row(i))
+        basis = hermite_basis(a)
+        check_hermite_basis(a, basis)
+        assert basis.rows == len(smith_invariants(a))
 
 
 def test_hermite_is_canonical_for_the_row_lattice():
@@ -210,13 +191,11 @@ def test_hermite_is_canonical_for_the_row_lattice():
         m = rng.randint(1, 3)
         s = rng.randint(1, 4)
         a = random_int_matrix(rng, m, s, 9)
-        base = hermite_normal_form(a)
-        base_rows = [base.h.row(i) for i in range(base.rank)]
+        base = hermite_basis(a)
 
         changed = mat_mul(random_unimodular(rng, m), a)
         padded_rows = changed.to_rows() + [list(changed.row(0))] + [[0] * s]
-        padded = hermite_normal_form(ZMatrix.from_rows(padded_rows, cols=s))
-        assert [padded.h.row(i) for i in range(padded.rank)] == base_rows
+        assert hermite_basis(ZMatrix.from_rows(padded_rows, cols=s)) == base
 
 
 def test_determinant_examples():
@@ -268,6 +247,10 @@ def test_integer_kernel_random_annihilates_and_is_saturated():
         k = integer_kernel(a)
         for i in range(k.rows):
             assert mat_mul(ZMatrix.from_rows([k.row(i)], cols=m), a) == zero_matrix(1, s)
+        assert hermite_basis(k) == k
+        assert k.rows == a.rows - len(smith_invariants(a))
+        # a basis of a saturated lattice has every invariant factor 1
+        assert smith_invariants(k) == (1,) * k.rows
         # saturation: every small solution of x @ a == 0 already lies in the
         # row span of the kernel basis, so stacking it changes nothing
         if m <= 3:
@@ -276,10 +259,44 @@ def test_integer_kernel_random_annihilates_and_is_saturated():
 
             for x in itertools.product(range(-3, 4), repeat=m):
                 if any(x) and mat_mul(ZMatrix.from_rows([x], cols=m), a) == zero_matrix(1, s):
-                    stacked = hermite_normal_form(
+                    stacked = hermite_basis(
                         ZMatrix.from_rows(list(k.to_rows()) + [list(x)], cols=m)
                     )
-                    assert stacked.rank == kernel_rank
+                    assert stacked.rows == kernel_rank
+
+
+KERNEL_SEED = 20261019
+KERNEL_DIGEST = "9f08d6dd718aec5431a93c89e43c6d2bd550a7cea30ffc1d4956274494be1434"
+
+
+def random_kernel_input(rng):
+    """A matrix of 0-8 rows and 0-6 columns with zero, duplicate and dependent rows."""
+    m = rng.randint(0, 8)
+    n = rng.randint(0, 6)
+    bound = rng.choice((1, 9, 10**3))
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * n)
+        elif rows and kind < 0.25:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) >= 2 and kind < 0.45:
+            (p, q), c, d = rng.sample(rows, 2), rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([c * x + d * y for x, y in zip(p, q)])
+        else:
+            rows.append([rng.randint(-bound, bound) for _ in range(n)])
+    return ZMatrix.from_rows(rows, cols=n)
+
+
+def test_integer_kernel_digest():
+    # one sha256 over the kernels of 1,000 seeded matrices pins every output
+    rng = random.Random(KERNEL_SEED)
+    h = hashlib.sha256()
+    for _ in range(1000):
+        a = random_kernel_input(rng)
+        h.update(format_matrix(a).encode() + format_matrix(integer_kernel(a)).encode())
+    assert h.hexdigest() == KERNEL_DIGEST
 
 
 def test_mat_mul():

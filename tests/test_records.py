@@ -1,6 +1,6 @@
 """The record contract of the report and spec types.
 
-The library's nine record types are covered, plus the test-side
+The library's eight record types are covered, plus the test-side
 ``SmithDecomposition`` that ``conftest.smith_normal_form`` returns, a
 record with three matrix fields.
 
@@ -21,7 +21,6 @@ from latdeg import (
     CiHypothesisCheck,
     DegreeCheck,
     GraphSpec,
-    HermiteForm,
     HilbertProfile,
     HomogeneousLattice,
     SandpileCheck,
@@ -29,13 +28,11 @@ from latdeg import (
     TorsionStructure,
     VanishingCheck,
     ZMatrix,
-    hermite_normal_form,
     verify_degree,
 )
 
 A = ZMatrix.from_rows([[18, -18, 0], [45, 0, -45], [0, 10, -10]])
 SMITH = smith_normal_form(A)
-HERMITE = hermite_normal_form(A)
 
 # (class, keyword arguments, field values after construction)
 CASES = [
@@ -43,11 +40,6 @@ CASES = [
         SmithDecomposition,
         dict(u=SMITH.u, d=SMITH.d, v=SMITH.v, invariant_factors=(1, 90), rank=2),
         (SMITH.u, SMITH.d, SMITH.v, (1, 90), 2),
-    ),
-    (
-        HermiteForm,
-        dict(h=HERMITE.h, transform=HERMITE.transform, rank=2),
-        (HERMITE.h, HERMITE.transform, 2),
     ),
     (
         TorsionStructure,
