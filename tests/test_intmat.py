@@ -269,11 +269,11 @@ KERNEL_SEED = 20261019
 KERNEL_DIGEST = "9f08d6dd718aec5431a93c89e43c6d2bd550a7cea30ffc1d4956274494be1434"
 
 
-def random_kernel_input(rng):
+def random_kernel_input(rng, bounds=(1, 9, 10**3)):
     """A matrix of 0-8 rows and 0-6 columns with zero, duplicate and dependent rows."""
     m = rng.randint(0, 8)
     n = rng.randint(0, 6)
-    bound = rng.choice((1, 9, 10**3))
+    bound = rng.choice(bounds)
     rows = []
     for _ in range(m):
         kind = rng.random()
@@ -297,6 +297,30 @@ def test_integer_kernel_digest():
         a = random_kernel_input(rng)
         h.update(format_matrix(a).encode() + format_matrix(integer_kernel(a)).encode())
     assert h.hexdigest() == KERNEL_DIGEST
+
+
+NORMAL_FORM_SEED = 20261020
+NORMAL_FORM_DIGEST = "c34cdbe79959ab3b55ac875f46e16882704154c15aa1d35910fe8dfa69c9cfae"
+
+
+def random_normal_form_input(rng):
+    """A kernel input with entries up to 10**9 and some of its columns zeroed."""
+    a = random_kernel_input(rng, bounds=(1, 9, 10**3, 10**9))
+    zeroed = {j for j in range(a.cols) if rng.random() < 0.15}
+    return ZMatrix.from_rows([[0 if j in zeroed else x for j, x in enumerate(row)]
+                              for row in a.to_rows()], cols=a.cols)
+
+
+def test_normal_form_digest():
+    # one sha256 over the Hermite bases and invariant factors of 1,000
+    # seeded matrices pins both public normal forms
+    rng = random.Random(NORMAL_FORM_SEED)
+    h = hashlib.sha256()
+    for _ in range(1000):
+        a = random_normal_form_input(rng)
+        h.update(format_matrix(a).encode() + format_matrix(hermite_basis(a)).encode())
+        h.update(repr(smith_invariants(a)).encode())
+    assert h.hexdigest() == NORMAL_FORM_DIGEST
 
 
 def test_mat_mul():
