@@ -346,6 +346,8 @@ def parse_toric_spec(text: str) -> ToricSetSpec:
         q, n, s = (int(x) for x in head)
     except ValueError:
         raise FormatError(f"header must be three integers, got {lines[0]!r}") from None
+    if n < 0 or s < 0:
+        raise FormatError(f"counts n and s must be nonnegative, got {n} {s}")
     body = lines[1:]
     if len(body) != s:
         raise FormatError(f"expected {s} exponent rows, got {len(body)}")

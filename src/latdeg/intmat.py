@@ -4,7 +4,10 @@ Everything here runs over Python's unbounded integers: invariant
 factors, Hermite normal forms, fraction-free determinants, and integer
 kernels.  Each normal form has one elimination loop, and no unimodular
 transform is returned: the degree needs only the invariant factors, and
-the integer kernel is read off the Hermite form of [A | I].
+the integer kernel is read off the Hermite form of [A | I].  The loops
+work on lists of rows, which the public functions take from a matrix
+once; both share one row operation, and the Hermite loop, exact or
+modular, ends with one bottom-up reduction above its pivots.
 No floating point and no machine-word arithmetic anywhere: a matrix takes
 its entries through ``operator.index``, so a float or a string is
 refused, never truncated.
@@ -86,10 +89,6 @@ class ZMatrix:
             cols = 0
         return cls(len(rows), cols, [x for r in rows for x in r])
 
-    @classmethod
-    def identity(cls, n: int) -> "ZMatrix":
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -117,21 +116,21 @@ class ZMatrix:
             f"ZMatrix({self.rows}, {self.cols}, ())"
 
 
-def _fraction_free(a: ZMatrix) -> tuple[int, int, tuple[int, ...], tuple | None]:
-    """One Bareiss fraction-free elimination pass over the rows of ``a``.
+def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int, tuple[int, ...], tuple | None]:
+    """One Bareiss fraction-free elimination pass over a copy of the n-column ``rows``.
 
     Columns without a pivot are skipped, so any shape works.  Returns
     the rank r, the last pivot with the sign of the row swaps (for a
     nonsingular square matrix, its determinant; 1 when r = 0), the
     entries of the pivot row and the pivot column at the r-th step (by
-    Sylvester's identity each an r x r minor of ``a``), and the tail:
+    Sylvester's identity each an r x r minor of ``rows``), and the tail:
     the rows at and below the next pivot when three columns remain, and
     the last pivot p, or None if the pass never got there.  After k
     pivots in k columns, each 3 x 3 minor of that block is p**2 times
-    the (k + 3) x (k + 3) minor of ``a`` on its rows and the pivot rows.
+    the (k + 3) x (k + 3) minor of ``rows`` on its rows and the pivot rows.
     """
-    m, n = a.rows, a.cols
-    mat = a.to_rows()
+    m = len(rows)
+    mat = [list(row) for row in rows]
     sign = 1
     prev = 1
     k = 0
@@ -175,7 +174,7 @@ def determinant(a: ZMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     if a.rows != a.cols:
         raise NonSquare(a.rows, a.cols)
-    rank, signed_pivot, _minors, _tail = _fraction_free(a)
+    rank, signed_pivot, _minors, _tail = _fraction_free(a.to_rows(), a.cols)
     return signed_pivot if rank == a.rows else 0
 
 
@@ -226,6 +225,16 @@ def _unit_pivots(d: list[list[int]], s: int, modulus: int) -> int:
                 rows[k] = v + (modulus - y) * pivot
 
 
+def _row_sub(di: list[int], dj: list[int], q: int, start: int, modulus: int) -> None:
+    """Row ``di`` -= q * row ``dj`` from column ``start`` on, reduced mod a positive ``modulus``."""
+    if modulus:
+        for k in range(start, len(di)):
+            di[k] = (di[k] - q * dj[k]) % modulus
+    else:
+        for k in range(start, len(di)):
+            di[k] -= q * dj[k]
+
+
 def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> tuple[int, ...]:
     """The Smith elimination loop, in place on the rows ``d``.
 
@@ -264,15 +273,6 @@ def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> 
             for row in d[t:]:
                 row[i], row[j] = row[j], row[i]
 
-    def row_sub(i, j, q):  # row i -= q * row j
-        di, dj = d[i], d[j]
-        if modulus:
-            for k in range(t, len(di)):
-                di[k] = (di[k] - q * dj[k]) % modulus
-        else:
-            for k in range(t, len(di)):
-                di[k] -= q * dj[k]
-
     def col_sub(j, k, q):  # col j -= q * col k, in the rows where col k is nonzero
         for row in d[t:]:
             if row[k]:
@@ -304,7 +304,7 @@ def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> 
                 if d[i][t]:
                     q = d[i][t] // pivot
                     if q:
-                        row_sub(i, t, q)
+                        _row_sub(d[i], d[t], q, t, modulus)
                     if d[i][t]:
                         dirty = True
             for j in range(t + 1, s):
@@ -336,7 +336,7 @@ def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> 
                 break
             # pull the non-multiple into the pivot row; the next sweep
             # replaces the pivot by a proper divisor of itself
-            row_sub(t, stray, -1)
+            _row_sub(d[t], d[stray], -1, t, modulus)
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
         t += 1
@@ -358,41 +358,45 @@ def smith_invariants(a: ZMatrix) -> tuple[int, ...]:
     stay below D, which is far smaller than the coefficient swell of the
     unreduced loop.
     """
-    return _smith_pass(a)[0]
+    return _smith_pass(a.to_rows(), a.cols)[0]
 
 
-def _smith_pass(a: ZMatrix) -> tuple[tuple[int, ...], tuple | None]:
-    """:func:`smith_invariants` of ``a``, and the tail of its Bareiss pass."""
-    rank, _pivot, minors, tail = _fraction_free(a)
+def _smith_pass(rows: list[list[int]], n: int) -> tuple[tuple[int, ...], tuple | None]:
+    """:func:`smith_invariants` of the n-column ``rows``, and the tail of their Bareiss pass."""
+    rank, _pivot, minors, tail = _fraction_free(rows, n)
     modulus = gcd(*minors)  # 0 at rank 0, which has no minors
     if modulus <= 1:
         return (1,) * rank, tail
-    return _smith_elimination(a.to_rows(), a.rows, a.cols, modulus=modulus)[:rank], tail
+    d = [list(row) for row in rows]
+    return _smith_elimination(d, len(d), n, modulus=modulus)[:rank], tail
 
 
-def _tail_modulus(a: ZMatrix, tail: tuple | None) -> int:
-    """D2, a multiple of the index of the row lattice of ``a``, of full column rank n.
+def _tail_modulus(rows: list[list[int]], n: int, tail: tuple | None) -> int:
+    """D2, a multiple of the index of the lattice of the n-column ``rows``, of rank n.
 
-    From the tail (B, p) of the pass over ``a``, or B = ``a`` and p = 1
-    when n < 3: the gcd of the minors a pass over the rows of B in
+    From the tail (B, p) of the pass over ``rows``, or B = ``rows`` and
+    p = 1 when n < 3: the gcd of the minors a pass over the rows of B in
     reverse order leaves, over p**2.  That is a gcd of n x n minors of
-    ``a``; with more than n rows, generically not those of the Smith
+    ``rows``; with more than n rows, generically not those of the Smith
     modulus.  It is 0 when n = 0.
     """
-    block, p = tail or (a.to_rows(), 1)
-    minors = _fraction_free(ZMatrix.from_rows(block[::-1], cols=min(a.cols, 3)))[2]
+    block, p = tail or (rows, 1)
+    minors = _fraction_free(block[::-1], min(n, 3))[2]
     return gcd(*minors) // (p * p)
 
 
-def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> int:
-    """The Hermite elimination loop, in place on the rows ``h``; returns the rank.
+def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> list[int]:
+    """The Hermite elimination loop, in place on the rows ``h``; returns the pivot columns.
 
-    Pivots are positive, move strictly right row by row, and entries
-    above each pivot are reduced into [0, pivot), so the first rank rows
-    are the canonical basis of the row lattice.  While column j is being
-    worked on, the rows at and below the current pivot row are zero
-    before column j; row operations only subtract multiples of those
-    rows, so they touch only columns >= j.
+    Pivots are positive and move strictly right row by row, and rows
+    past the rank are dropped.  While column j is being worked on, the
+    rows at and below the current pivot row are zero before column j;
+    row operations only subtract multiples of those rows, so they touch
+    only columns >= j.  Rows above the pivots are left alone until one
+    bottom-up pass at the end reduces each row exactly by the finished
+    rows below it, over their nonzero entries, and puts every entry
+    above a pivot into [0, pivot) (Cohen, GTM 138, Alg. 2.4.5 and
+    2.4.8).  So the rows left are the canonical basis of the row lattice.
 
     A positive ``modulus`` R requires a full-rank row lattice in Z^s
     whose index divides R, so it contains R*Z^s (Domich-Kannan-Trotter),
@@ -400,35 +404,24 @@ def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> int:
     pivots are packed one int each, reduced mod R.  A column with a unit
     mod R gets the pivot 1: the unit's row, reduced and scaled by the
     inverse of the unit, clears the column with one multiply-add per
-    row.  A column without one is unpacked and worked by the Euclid
-    sweeps, with rows kept reduced mod R; its pivot is h = gcd(x, R) for
-    the entry x left (R if the column is all zero mod R), its row u *
-    row mod R with u*x = h mod R, and then R //= h.  Once R is 1 every
-    entry is a unit and every pivot left is 1; R = 1 at the start gives
-    the identity basis at once.  One bottom-up pass at the end reduces
-    each row exactly by the finished rows below it, which unit pivots
-    leave sparse; rows past the rank are dropped.
+    row, and leaves its row sparse.  A column without one is unpacked
+    and worked by the Euclid sweeps, with rows kept reduced mod R; its
+    pivot is h = gcd(x, R) for the entry x left (R if the column is all
+    zero mod R), its row u * row mod R with u*x = h mod R, and then
+    R //= h.  Once R is 1 every entry is a unit and every pivot left is
+    1; R = 1 at the start gives the identity basis at once.
     """
     m, s = len(h), len(h[0]) if h else 0
     if modulus == 1:
         h[:] = [[int(c == k) for c in range(s)] for k in range(s)]
-        return s
+        return list(range(s))
     if modulus:
         w = _field_width(modulus, m, s)
         mask = (1 << w) - 1
         packed = [_pack([x % modulus for x in row], w) for row in h]
-
-    def row_sub(i, k, q):  # row i -= q * row k
-        hi, hk = h[i], h[k]
-        if modulus:
-            for c in range(j, len(hi)):
-                hi[c] = (hi[c] - q * hk[c]) % modulus
-        else:
-            for c in range(j, len(hi)):
-                hi[c] -= q * hk[c]
-
-    r = 0
+    cols: list[int] = []
     for j in range(s):
+        r = len(cols)
         if r == m:
             break
         if modulus:
@@ -444,10 +437,9 @@ def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> int:
                     y = (packed[i] >> shift & mask) % modulus
                     if y:
                         packed[i] += (modulus - y) * v
-                r += 1
+                cols.append(j)
                 continue
             h[r:] = [[(v >> w * c & mask) % modulus for c in range(s)] for v in packed[r:]]
-        pivoted = False
         while True:
             best = None
             for i in range(r, m):
@@ -461,43 +453,34 @@ def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> int:
             clean = True
             for i in range(r + 1, m):
                 if h[i][j]:
-                    row_sub(i, r, h[i][j] // pivot)
+                    _row_sub(h[i], h[r], h[i][j] // pivot, j, modulus)
                     if h[i][j]:
                         clean = False
             if clean:
-                pivoted = True
                 break
+        row = h[r]
         if modulus:
-            row = h[r]
             pivot = gcd(row[j], modulus)
             u = pow(row[j] // pivot, -1, modulus // pivot)
             h[r] = row[:j] + [pivot] + [u * x % modulus for x in row[j + 1 :]]
             packed[r + 1 :] = [_pack(row, w) for row in h[r + 1 :]]
             modulus //= pivot
-            r += 1
-            continue
-        if not pivoted:
-            continue
-        if h[r][j] < 0:
-            h[r] = [-x for x in h[r]]
-        pivot = h[r][j]
-        for i in range(r):
-            q = h[i][j] // pivot  # floor puts the entry into [0, pivot)
+        elif not row[j]:
+            continue  # the column is zero below the pivots found so far
+        elif row[j] < 0:
+            h[r] = [-x for x in row]
+        cols.append(j)
+    del h[len(cols) :]
+    support: list[list[tuple[int, int]]] = []  # nonzero (column, entry) pairs of the rows below
+    for row in reversed(h):
+        for below in support:
+            p, pivot = below[0]
+            q = row[p] // pivot  # floor puts the entry into [0, pivot)
             if q:
-                row_sub(i, r, q)
-        r += 1
-    if modulus:
-        del h[r:]
-        support = [()] * r  # the nonzero (column, entry) pairs of each reduced row
-        for i in range(r - 1, -1, -1):
-            row = h[i]
-            for k in range(i + 1, r):
-                q = row[k] // h[k][k]  # floor puts the entry into [0, pivot)
-                if q:
-                    for c, x in support[k]:
-                        row[c] -= q * x
-            support[i] = [(c, row[c]) for c in range(i, s) if row[c]]
-    return r
+                for c, x in below:
+                    row[c] -= q * x
+        support.insert(0, [(c, x) for c, x in enumerate(row) if x])
+    return cols
 
 
 def hermite_basis(a: ZMatrix) -> ZMatrix:
@@ -508,8 +491,8 @@ def hermite_basis(a: ZMatrix) -> ZMatrix:
     unit of rank, the same for every generating set of that lattice.
     """
     h = a.to_rows()
-    r = _hermite_elimination(h)
-    return ZMatrix.from_rows(h[:r], cols=a.cols)
+    _hermite_elimination(h)
+    return ZMatrix.from_rows(h, cols=a.cols)
 
 
 def integer_kernel(a: ZMatrix) -> ZMatrix:

@@ -71,26 +71,22 @@ class HomogeneousLattice:
     __slots__ = ("generators", "ambient_dim", "rank", "invariant_factors", "basis", "_pivots")
 
     def __init__(self, generators: ZMatrix):
+        head = []
         for i in range(generators.rows):
-            total = sum(generators.row(i))
-            if total != 0:
+            row = generators.row(i)
+            if total := sum(row):
                 raise NotHomogeneous(i, total)
+            head.append(list(row[:-1]))
         self.generators = generators
         self.ambient_dim = s = generators.cols
-        head = ZMatrix.from_rows([generators.row(i)[:-1] for i in range(generators.rows)],
-                                 cols=max(s - 1, 0))
-        self.invariant_factors, tail = _smith_pass(head)
+        n = max(s - 1, 0)
+        self.invariant_factors, tail = _smith_pass(head, n)
         self.rank = len(self.invariant_factors)
-        h = head.to_rows()
-        modulus = _tail_modulus(head, tail) if self.rank == s - 1 else 0
-        r = _hermite_elimination(h, modulus=modulus)
-        self.basis = ZMatrix.from_rows([row + [-sum(row)] for row in h[:r]], cols=s)
-        pivots = []
-        for i in range(r):
-            row = self.basis.row(i)
-            p = next(j for j, x in enumerate(row) if x)
-            pivots.append((p, row[p], row))
-        self._pivots = tuple(pivots)  # (column, pivot, basis row) per row
+        modulus = _tail_modulus(head, n, tail) if self.rank == s - 1 else 0
+        cols = _hermite_elimination(head, modulus=modulus)
+        self.basis = ZMatrix.from_rows([row + [-sum(row)] for row in head], cols=s)
+        # (column, pivot, basis row) per row
+        self._pivots = tuple((p, head[i][p], self.basis.row(i)) for i, p in enumerate(cols))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ambient_dim: int | None = None):
@@ -109,12 +105,12 @@ class HomogeneousLattice:
         whose first ``rank`` transformed coordinates are divisible by the
         matching invariant factors and whose remaining coordinates vanish.
         Runs the exact Smith loop on each call, on the generator rows
-        with an identity block below them, which comes out as V; nothing
-        on the degree path needs a transform.
+        with the s rows of the identity below them, which come out as
+        the rows of V; nothing on the degree path needs a transform.
         """
         w = self._vector(v)
         m, s = self.generators.rows, self.ambient_dim
-        rows = self.generators.to_rows() + ZMatrix.identity(s).to_rows()
+        rows = self.generators.to_rows() + [[int(i == j) for j in range(s)] for i in range(s)]
         _smith_elimination(rows, m, s)
         return tuple(sum(x * row[j] for x, row in zip(w, rows[m:])) for j in range(s))
 

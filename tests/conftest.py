@@ -104,6 +104,10 @@ def zero_matrix(rows, cols):
     return ZMatrix(rows, cols, [0] * (rows * cols))
 
 
+def identity_matrix(n):
+    return ZMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+
 def diagonal(a: ZMatrix) -> tuple:
     return tuple(a[i, i] for i in range(min(a.rows, a.cols)))
 

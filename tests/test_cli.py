@@ -392,6 +392,14 @@ def test_toric_negative_exponent_exits_2(write, capsys):
     assert err == "error: exponents must be nonnegative\n"
 
 
+@pytest.mark.parametrize("header, counts", [("5 2 -1", "2 -1"), ("5 -1 2", "-1 2")])
+def test_toric_negative_count_exits_2(write, capsys, header, counts):
+    code, out, err = run(capsys, "toric", write("neg.exp", f"{header}\n1 2\n"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: counts n and s must be nonnegative, got {counts}\n"
+
+
 @pytest.mark.parametrize(
     "command, name", [("degree", "bad.mat"), ("toric", "bad.exp"), ("sandpile", "bad.graph")]
 )

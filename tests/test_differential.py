@@ -164,7 +164,7 @@ def test_smith_invariants_match_tracked_form_and_minors(a):
     assert factors == smith_normal_form(a).invariant_factors
     minors = minors_invariant_factors(a)
     assert list(factors) == minors
-    rank, _pivot, last_minors, _tail = _fraction_free(a)
+    rank, _pivot, last_minors, _tail = _fraction_free(a.to_rows(), a.cols)
     assert rank == len(factors)
     if rank:
         # the modulus of the Smith route: a multiple of every d_i
@@ -228,13 +228,13 @@ def head(rows, s):
 
 def smith_modulus(rows, s):
     """D, the modulus of the Smith route: the gcd of the minors of the pass over the head."""
-    return gcd(*_fraction_free(head(rows, s))[2])
+    return gcd(*_fraction_free([row[:-1] for row in rows], s - 1)[2])
 
 
 def head_modulus(rows, s):
     """D2 of the lattice L', from the tail of the same pass."""
-    a = head(rows, s)
-    return _tail_modulus(a, _fraction_free(a)[3])
+    a = [row[:-1] for row in rows]
+    return _tail_modulus(a, s - 1, _fraction_free(a, s - 1)[3])
 
 
 @SETTINGS
@@ -353,7 +353,7 @@ def check_modular_loops(a, modulus, factors) -> bool:
     if modulus % prod(basis[i, i] for i in range(a.cols)):
         return False
     h = a.to_rows()
-    assert _hermite_elimination(h, modulus=modulus) == a.cols
+    assert _hermite_elimination(h, modulus=modulus) == list(range(a.cols))
     assert ZMatrix.from_rows(h, cols=a.cols) == basis
     return True
 

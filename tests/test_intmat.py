@@ -7,6 +7,7 @@ from conftest import (
     check_hermite_basis,
     cofactor_det,
     diagonal,
+    identity_matrix,
     mat_mul,
     minors_invariant_factors,
     random_int_matrix,
@@ -68,7 +69,7 @@ def test_smith_example2_matrix():
 
 
 def test_smith_identity():
-    dec = smith_normal_form(ZMatrix.identity(2))
+    dec = smith_normal_form(identity_matrix(2))
     assert dec.invariant_factors == (1, 1)
 
 
@@ -93,20 +94,20 @@ def test_smith_empty_and_zero():
     dec = smith_normal_form(empty)
     assert dec.invariant_factors == ()
     assert dec.rank == 0
-    assert dec.u == ZMatrix.identity(0)
-    assert dec.v == ZMatrix.identity(3)
+    assert dec.u == identity_matrix(0)
+    assert dec.v == identity_matrix(3)
 
     dec = smith_normal_form(ZMatrix(3, 0, ()))
     assert dec.invariant_factors == ()
-    assert dec.u == ZMatrix.identity(3)
+    assert dec.u == identity_matrix(3)
     assert dec.d == ZMatrix(3, 0, ())
-    assert dec.v == ZMatrix.identity(0)
+    assert dec.v == identity_matrix(0)
 
     zero = zero_matrix(2, 2)
     dec = smith_normal_form(zero)
     assert dec.invariant_factors == ()
-    assert dec.u == ZMatrix.identity(2)
-    assert dec.v == ZMatrix.identity(2)
+    assert dec.u == identity_matrix(2)
+    assert dec.v == identity_matrix(2)
 
 
 def test_smith_random_invariants():
@@ -163,7 +164,7 @@ def test_smith_invariant_under_permutation_and_negation():
 
 def test_hermite_examples():
     assert hermite_basis(ZMatrix.from_rows([[2, 4], [0, 3]])) == ZMatrix.from_rows([[2, 1], [0, 3]])
-    identity = ZMatrix.identity(3)
+    identity = identity_matrix(3)
     assert hermite_basis(identity) == identity
     assert hermite_basis(ZMatrix.from_rows([[3, 3], [3, 3]])) == ZMatrix.from_rows([[3, 3]])
     assert hermite_basis(ZMatrix(3, 0, ())) == ZMatrix(0, 0, ())
@@ -199,7 +200,7 @@ def test_hermite_is_canonical_for_the_row_lattice():
 
 
 def test_determinant_examples():
-    assert determinant(ZMatrix.identity(2)) == 1
+    assert determinant(identity_matrix(2)) == 1
     assert determinant(ZMatrix.from_rows([[2, 1], [1, 2]])) == 3
     k4_reduced = ZMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
     assert determinant(k4_reduced) == 16
@@ -235,7 +236,7 @@ def test_integer_kernel_examples():
 
     invertible = ZMatrix.from_rows([[2, 1], [1, 1]])
     assert integer_kernel(invertible) == ZMatrix(0, 2, ())
-    assert integer_kernel(ZMatrix(2, 0, ())) == ZMatrix.identity(2)
+    assert integer_kernel(ZMatrix(2, 0, ())) == identity_matrix(2)
 
 
 def test_integer_kernel_random_annihilates_and_is_saturated():
@@ -325,7 +326,7 @@ def test_normal_form_digest():
 
 def test_mat_mul():
     a = ZMatrix.from_rows([[1, 2], [3, 4]])
-    assert mat_mul(ZMatrix.identity(2), a) == a
+    assert mat_mul(identity_matrix(2), a) == a
     assert mat_mul(ZMatrix.from_rows([[1, 2]]), ZMatrix.from_rows([[3], [4]])) == ZMatrix.from_rows(
         [[11]]
     )
@@ -371,4 +372,4 @@ def test_zmatrix_validation():
     with pytest.raises(ValueError):
         ZMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(IndexError):
-        ZMatrix.identity(2)[2, 0]
+        identity_matrix(2)[2, 0]

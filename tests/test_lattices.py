@@ -251,9 +251,9 @@ def test_corank_one_construction_runs_one_wide_pass(monkeypatch):
     widths = []
     original = intmat._fraction_free
 
-    def counting(a):
-        widths.append(a.cols)
-        return original(a)
+    def counting(rows, n):
+        widths.append(n)
+        return original(rows, n)
 
     monkeypatch.setattr(intmat, "_fraction_free", counting)
     lattice = HomogeneousLattice.from_rows([
