@@ -14,7 +14,11 @@ refused, never truncated.
 
 The invariant factors alone are computed modulo D, the gcd of the r x r
 minors (r the rank) that one Bareiss pass already produces; that pass
-is shared with the determinant.  Every one of the first r invariant
+is shared with the determinant.  It clears two columns per sweep
+wherever the 2 x 2 pivot block is nonsingular (Bareiss's two-step
+variant), and one column for a singular block, in the last three
+columns and for a last single row, so its minors and tail are exactly
+those of the one-step pass.  Every one of the first r invariant
 factors divides D, so reducing mod D loses none of them, and entries
 stay below D instead of swelling.  The Hermite elimination also takes a
 modulus, a multiple of the index of a full-rank row lattice; the public
@@ -128,6 +132,14 @@ def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int, tuple[int, 
     the last pivot p, or None if the pass never got there.  After k
     pivots in k columns, each 3 x 3 minor of that block is p**2 times
     the (k + 3) x (k + 3) minor of ``rows`` on its rows and the pivot rows.
+
+    Where it can, the pass clears two columns j, j + 1 in one sweep
+    (Bareiss's two-step variant, Math. Comp. 22, 1968): each row below
+    the 2 x 2 pivot block becomes its 3 x 3 minor with that block, over
+    prev**2, again exact by Sylvester's identity.  A block with no
+    nonzero 2 x 2 minor, the last three columns, and a single row left
+    take the one-step sweep instead, so the tail and the last-step
+    minors are those of the one-step pass.
     """
     m = len(rows)
     mat = [list(row) for row in rows]
@@ -137,19 +149,55 @@ def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int, tuple[int, 
     pivot_col: list[int] = []
     last = 0
     tail = None
-    for j in range(n):
-        if k == m:
-            break
+    j = 0
+    while j < n and k < m:
         if j == n - 3:
             tail = [row[j:] for row in mat[k:]], prev
         swap = next((i for i in range(k, m) if mat[i][j]), None)
         if swap is None:
+            j += 1
             continue
         if swap != k:
             mat[k], mat[swap] = mat[swap], mat[k]
             sign = -sign
         row_k = mat[k]
         pivot = row_k[j]
+        if j + 1 < n - 3 and k + 1 < m:
+            b = row_k[j + 1]
+            # column j + 1 below row k after one step, times prev
+            col = [row[j + 1] * pivot - row[j] * b for row in mat[k + 1 :]]
+            second = next((i for i, x in enumerate(col) if x), None)
+            if second is not None:
+                if second:
+                    mat[k + 1], mat[k + 1 + second] = mat[k + 1 + second], mat[k + 1]
+                    col[0], col[second] = col[second], col[0]
+                    sign = -sign
+                row_l = mat[k + 1]
+                a, d, det2 = row_l[j], row_l[j + 1], col[0]
+                # the cofactors of a row's entries in columns j and j + 1, per
+                # column c; row k + 1 takes its one-step values
+                c1, c2 = [0] * n, [0] * n
+                for c in range(j + 2, n):
+                    c1[c] = b * row_l[c] - d * row_k[c]
+                    c2[c] = a * row_k[c] - pivot * row_l[c]
+                    row_l[c] = -c2[c] // prev
+                prev2 = prev * prev
+                for i in range(k + 2, m):
+                    row_i = mat[i]
+                    x, y = row_i[j], row_i[j + 1]
+                    if x or y:
+                        for c in range(j + 2, n):
+                            row_i[c] = (row_i[c] * det2 + x * c1[c] + y * c2[c]) // prev2
+                    elif det2 != prev2:
+                        for c in range(j + 2, n):
+                            row_i[c] = row_i[c] * det2 // prev2
+                # columns j and j + 1 below the pivots are never read again
+                pivot_col = [x // prev for x in col]
+                prev = row_l[j + 1] = pivot_col[0]
+                last = j + 1
+                k += 2
+                j += 2
+                continue
         pivot_col = [mat[i][j] for i in range(k, m)]
         for i in range(k + 1, m):
             row_i = mat[i]
@@ -166,6 +214,7 @@ def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int, tuple[int, 
         prev = pivot
         last = j
         k += 1
+        j += 1
     minors = tuple(mat[k - 1][last:]) + tuple(pivot_col[1:]) if k else ()
     return k, sign * prev, minors, tail
 
@@ -551,7 +600,7 @@ def parse_matrix(text: str) -> ZMatrix:
         if len(parts) != s:
             raise FormatError(f"row {k + 1} has {len(parts)} entries, expected {s}")
         try:
-            entries.extend(int(p) for p in parts)
+            entries += map(int, parts)
         except ValueError:
             raise FormatError(f"row {k + 1} contains a non-integer entry: {line!r}") from None
     return ZMatrix(m, s, entries)

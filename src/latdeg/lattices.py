@@ -9,7 +9,8 @@ quotient group, and for lattices of rank one less than the ambient
 dimension the degree (the torsion order).  One Hermite elimination,
 at that rank modulo a gcd of other minors from the tail of the same
 Bareiss pass, gives the echelon basis that answers membership and
-element-order queries by integer reduction, canonical coset
+element-order queries by integer reduction over the nonzero entries
+of its rows, canonical coset
 representatives, the simplex-volume reading of the degree (the product
 of its pivots, the index of L'), and an upper bound for where the
 associated counting function goes constant.  Only ``smith_coordinates``
@@ -85,8 +86,13 @@ class HomogeneousLattice:
         modulus = _tail_modulus(head, n, tail) if self.rank == s - 1 else 0
         cols = _hermite_elimination(head, modulus=modulus)
         self.basis = ZMatrix.from_rows([row + [-sum(row)] for row in head], cols=s)
-        # (column, pivot, basis row) per row
-        self._pivots = tuple((p, head[i][p], self.basis.row(i)) for i, p in enumerate(cols))
+        # (column, pivot, nonzero (column, entry) pairs of the basis row) per
+        # row; a Hermite row of a small-degree lattice has few nonzeros: its
+        # pivot, the columns of the non-unit pivots, and the last coordinate
+        self._pivots = tuple(
+            (p, head[i][p], tuple((c, x) for c, x in enumerate(self.basis.row(i)) if x))
+            for i, p in enumerate(cols)
+        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ambient_dim: int | None = None):
@@ -133,17 +139,28 @@ class HomogeneousLattice:
         of the denominators of ``v``'s coordinates in the basis.  A
         residual left at the end means ``v`` is outside the rational span.
         """
-        w = self._vector(v)
+        return self._order(self._vector(v), 0)
+
+    def _order(self, w: list[int], start: int) -> int | None:
+        """:meth:`element_order` of ``w``, whose coordinates at the pivots before ``start`` are 0.
+
+        A pivot whose coordinate is 0 is skipped: its scale is 1 and its
+        quotient 0.
+        """
         n = 1
-        for p, h, row in self._pivots:
-            scale = h // gcd(w[p], h)
+        for p, h, support in self._pivots[start:]:
+            x = w[p]
+            if not x:
+                continue
+            scale = h // gcd(x, h)
             if scale > 1:
                 n *= scale
-                w = [scale * x for x in w]
-            q = w[p] // h
+                w = [scale * y for y in w]
+                x *= scale
+            q = x // h
             if q:
-                for k in range(p, self.ambient_dim):
-                    w[k] -= q * row[k]
+                for c, y in support:
+                    w[c] -= q * y
         return None if any(w) else n
 
     def residue(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -155,11 +172,11 @@ class HomogeneousLattice:
         lattice.
         """
         w = self._vector(v)
-        for p, h, row in self._pivots:
+        for p, h, support in self._pivots:
             q = w[p] // h
             if q:
-                for k in range(p, self.ambient_dim):
-                    w[k] -= q * row[k]
+                for c, y in support:
+                    w[c] -= q * y
         return tuple(w)
 
     def torsion_structure(self) -> TorsionStructure:
@@ -198,7 +215,9 @@ class HomogeneousLattice:
 
         B = sum over i < s of (n_i - 1), plus 1, where n_i is the order
         of e_i - e_s in the quotient.  Not claimed minimal; the counting
-        function equals :meth:`degree` from B on.
+        function equals :meth:`degree` from B on.  At rank s - 1 the
+        pivots are the columns 0, ..., s - 2, so the reduction of
+        e_i - e_s starts at pivot i.
         """
         self._require_corank_one()
         s = self.ambient_dim
@@ -207,7 +226,7 @@ class HomogeneousLattice:
             v = [0] * s
             v[i] = 1
             v[s - 1] = -1
-            n = self.element_order(v)
+            n = self._order(v, i)
             assert n is not None  # guaranteed at rank s - 1
             total += n - 1
         return total + 1
@@ -223,4 +242,4 @@ class HomogeneousLattice:
         eliminations (the Hermite one never reads the Smith modulus).
         """
         self._require_corank_one()
-        return prod(h for _p, h, _row in self._pivots)
+        return prod(h for _p, h, _support in self._pivots)

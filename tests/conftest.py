@@ -11,6 +11,8 @@ exact Smith loop with identity blocks carried beside the matrix, so it
 checks that loop's transforms (``U @ A @ V == D`` through ``mat_mul``,
 both unimodular) but cannot vouch for its invariant factors on its own;
 ``minors_invariant_factors`` is the independent reference for those.
+``fraction_free_reference`` is the one-step Bareiss pass that the
+library's two-step pass must reproduce exactly.
 """
 
 import itertools
@@ -60,6 +62,49 @@ def smith_normal_form(a: ZMatrix) -> SmithDecomposition:
         invariant_factors=factors,
         rank=len(factors),
     )
+
+
+def fraction_free_reference(rows, n):
+    """The one-step Bareiss pass: what ``intmat._fraction_free`` returns, one column per sweep.
+
+    The same 4-tuple: the rank, the signed last pivot, the minors at the
+    last step (its pivot row from the pivot column on, then its pivot
+    column below the pivot), and the tail (the rows at and below the
+    next pivot from column n - 3 on, with the last pivot), or None.
+    """
+    m = len(rows)
+    mat = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    k = 0
+    pivot_col = []
+    last = 0
+    tail = None
+    for j in range(n):
+        if k == m:
+            break
+        if j == n - 3:
+            tail = [row[j:] for row in mat[k:]], prev
+        swap = next((i for i in range(k, m) if mat[i][j]), None)
+        if swap is None:
+            continue
+        if swap != k:
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        row_k = mat[k]
+        pivot = row_k[j]
+        pivot_col = [mat[i][j] for i in range(k, m)]
+        for i in range(k + 1, m):
+            row_i = mat[i]
+            factor = row_i[j]
+            for c in range(j + 1, n):
+                row_i[c] = (row_i[c] * pivot - factor * row_k[c]) // prev
+            row_i[j] = 0
+        prev = pivot
+        last = j
+        k += 1
+    minors = tuple(mat[k - 1][last:]) + tuple(pivot_col[1:]) if k else ()
+    return k, sign * prev, minors, tail
 
 
 def mat_mul(a: ZMatrix, b: ZMatrix) -> ZMatrix:

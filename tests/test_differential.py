@@ -14,7 +14,11 @@ without its last column.  The breadth-first coset counts of
 between monomials.  The modular Smith and Hermite loops, which work on
 packed rows with unit pivots first, are checked directly against the
 lattice of the rows and R*Z^n, and through the lattice on bases whose
-degree has at least 40 bits and on non-cyclic groups.
+degree has at least 40 bits and on non-cyclic groups.  The two-step
+Bareiss pass must return exactly what the one-step reference
+(``conftest.fraction_free_reference``) returns, and the queries on
+sparse basis rows exactly what a reduction over the dense rows of
+``basis`` returns, at s = 8 to 30 and every rank.
 """
 
 import random
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 from conftest import (
     check_hermite_basis,
     cofactor_det,
+    fraction_free_reference,
     mat_mul,
     minors_invariant_factors,
     pairwise_coset_count,
@@ -465,3 +470,129 @@ def test_unimodular_transforms_of_a_diagonal(diagonal):
     assert lattice.invariant_factors == tuple(diagonal)
     assert lattice.basis == hermite_basis(lattice.generators)
     assert lattice.normalized_volume() == lattice.degree() == prod(diagonal)
+
+
+@st.composite
+def pass_inputs(draw):
+    """(rows, n): an m x n matrix, m, n <= 24, of a shape the two-step pass branches on.
+
+    Entries are within 1, 9 or 10^6 in absolute value.  Some columns are
+    zeroed; some rows are combinations of two others; and some column
+    j + 1 is a multiple of column j, which makes the 2 x 2 block at j
+    singular whatever the rows above did.
+    """
+    m, n = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    bound = draw(st.sampled_from([1, 9, 10**6]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+    if n and draw(st.booleans()):
+        for c in rng.sample(range(n), rng.randint(1, min(n, 3))):
+            for row in rows:
+                row[c] = 0
+    if m > 2 and draw(st.booleans()):
+        for i in rng.sample(range(m), rng.randint(1, m - 2)):
+            a, b = rng.sample([k for k in range(m) if k != i], 2)
+            f, g = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[i] = [f * x + g * y for x, y in zip(rows[a], rows[b])]
+    if n > 1 and draw(st.booleans()):
+        for j in rng.sample(range(n - 1), rng.randint(1, min(n - 1, 4))):
+            f = rng.randint(-3, 3)
+            for row in rows:
+                row[j + 1] = f * row[j]
+    return rows, n
+
+
+@SETTINGS
+@given(pass_inputs())
+def test_two_step_pass_matches_the_one_step_reference(case):
+    rows, n = case
+    assert _fraction_free(rows, n) == fraction_free_reference(rows, n)
+
+
+@pytest.mark.parametrize("rows", [
+    # row 0 is zero in column 0, so the first pivot is swapped up; below it
+    # only the fourth row has a nonzero 2 x 2 minor with the pivot, so the
+    # second pivot is swapped up too: two sign flips in one double step
+    [[0, 0, 2, 3, 4, 5], [2, 4, 1, 0, 3, 1], [1, 2, 5, 1, 2, 2], [3, 1, 0, 2, 1, 4],
+     [1, 1, 1, 1, 1, 2], [2, 0, 1, 3, 0, 1]],
+    # column 1 is twice column 0: no 2 x 2 block at column 0 is nonsingular,
+    # so column 0 takes one step, column 1 has no pivot, and the double
+    # step on columns 2 and 3 divides by prev**2 = 4
+    [[2, 4, 3, 1, 0, 2, 1, 1], [1, 2, 1, 1, 1, 0, 2, 3], [3, 6, 0, 2, 1, 1, 1, 0],
+     [1, 2, 2, 0, 3, 1, 0, 1], [0, 0, 1, 2, 1, 3, 1, 2]],
+    # n = 4: no double step, since it would reach column n - 3
+    [[2, 1, 3, 1], [1, 3, 2, 2], [4, 1, 1, 3], [1, 1, 5, 1]],
+    # n = 5: one double step on columns 0 and 1, then the tail at column 2
+    [[2, 1, 3, 1, 1], [1, 3, 2, 2, 0], [4, 1, 1, 3, 2], [1, 1, 5, 1, 3], [0, 2, 1, 1, 1]],
+    # m = 1: a single row never takes a double step
+    [[3, 1, 4, 1, 5, 9, 2]],
+    # two double steps whose 2 x 2 minor equals prev**2, over rows with
+    # zeros in both columns
+    [[int(i == j) for j in range(7)] for i in range(7)],
+], ids=["second-swap", "singular-block", "n4", "n5", "m1", "identity"])
+def test_two_step_pass_cases(rows):
+    n = len(rows[0])
+    assert _fraction_free(rows, n) == fraction_free_reference(rows, n)
+    if len(rows) == n:
+        assert determinant(ZMatrix.from_rows(rows)) == cofactor_det(rows)
+
+
+def dense_queries(lattice, v):
+    """(element_order, residue) of ``v`` by reduction over the dense rows of ``lattice.basis``."""
+    s = lattice.ambient_dim
+    rows = [lattice.basis.row(i) for i in range(lattice.basis.rows)]
+    pivots = [(next(c for c, x in enumerate(row) if x), row) for row in rows]
+    w, n = list(v), 1
+    for p, row in pivots:
+        scale = row[p] // gcd(w[p], row[p])
+        if scale > 1:
+            n *= scale
+            w = [scale * x for x in w]
+        q = w[p] // row[p]
+        for k in range(p, s):
+            w[k] -= q * row[k]
+    r = list(v)
+    for p, row in pivots:
+        q = r[p] // row[p]
+        for k in range(p, s):
+            r[k] -= q * row[k]
+    return (None if any(w) else n), tuple(r)
+
+
+@pytest.mark.parametrize("s", range(8, 31))
+def test_queries_match_dense_rows_at_every_rank(s):
+    """Sparse-row queries at every rank 0 to s - 1, with entries within 9 and within 10^6.
+
+    The generators are r random sum-zero rows, some scaled by 2, 3 or 6
+    so that the group has torsion, and one combination of them.  The
+    queries are random vectors, random sum-zero vectors, combinations of
+    the unscaled rows (elements of finite order), members, and e_i - e_s.
+    """
+    rng = random.Random(s)
+    for bound in (9, 10**6):
+        for r in range(s):
+            free = []
+            for _ in range(r):
+                head = [rng.randint(-bound, bound) for _ in range(s - 1)]
+                free.append(head + [-sum(head)])
+            rows = [[f * x for x in row] for f, row in zip(rng.choices((1, 1, 2, 3, 6), k=r), free)]
+            if r > 1:
+                rows.append([x - 2 * y for x, y in zip(rows[0], rows[1])])
+            lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
+            assert lattice.rank == r
+            vectors = [[rng.randint(-bound, bound) for _ in range(s)] for _ in range(2)]
+            head = [rng.randint(-bound, bound) for _ in range(s - 1)]
+            vectors.append(head + [-sum(head)])
+            for source in (free, rows):
+                coeffs = [rng.randint(-3, 3) for _ in source]
+                vectors.append([sum(c * row[k] for c, row in zip(coeffs, source)) for k in range(s)])
+            vectors += [[int(k == i) - int(k == s - 1) for k in range(s)] for i in (0, s // 2, s - 2)]
+            for v in vectors:
+                order, residue = dense_queries(lattice, v)
+                assert lattice.element_order(v) == order
+                assert lattice.residue(v) == residue
+                assert lattice.contains(v) == (order == 1)
+            if r == s - 1:
+                orders = [dense_queries(lattice, [int(k == i) - int(k == s - 1) for k in range(s)])[0]
+                          for i in range(s - 1)]
+                assert lattice.regularity_upper_bound() == sum(orders) - (s - 1) + 1
