@@ -9,7 +9,9 @@ its own elementary counting oracle:
   of spanning trees (and the reduced-Laplacian determinant).
 
 Specs and reports are immutable records; the two specs normalise and
-validate their fields in ``__post_init__``.
+validate their fields in ``__post_init__``.  The two file parsers read
+through the integer-line reader of :mod:`latdeg.intmat` and keep only
+their own format's rules.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 from ._record import Record
 from .errors import BudgetExceeded, Disconnected, DomainError, FormatError, NonPrimeField
 from .hilbert import DEFAULT_BUDGET
-from .intmat import ZMatrix, _content_lines, determinant, integer_kernel
+from .intmat import ZMatrix, _int_lines, _ints, determinant, integer_kernel
 from .lattices import HomogeneousLattice
 
 __all__ = [
@@ -336,54 +338,24 @@ def check_sandpile_degree(g: GraphSpec) -> SandpileCheck:
 
 def parse_toric_spec(text: str) -> ToricSetSpec:
     """Parse the exponent file format: header "q n s", then s rows of n entries."""
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty exponent file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise FormatError(f"header must be 'q n s', got {lines[0]!r}")
-    try:
-        q, n, s = (int(x) for x in head)
-    except ValueError:
-        raise FormatError(f"header must be three integers, got {lines[0]!r}") from None
+    (q, n, s), body = _int_lines(text, "exponent", 3)
     if n < 0 or s < 0:
         raise FormatError(f"counts n and s must be nonnegative, got {n} {s}")
-    body = lines[1:]
     if len(body) != s:
         raise FormatError(f"expected {s} exponent rows, got {len(body)}")
-    vectors = []
-    for k, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != n:
-            raise FormatError(f"exponent row {k + 1} has {len(parts)} entries, expected {n}")
-        try:
-            vectors.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise FormatError(f"exponent row {k + 1} contains a non-integer: {line!r}") from None
+    vectors = [_ints("exponent", k, line, n) for k, line in body]
     try:
-        return ToricSetSpec(q=q, exponents=tuple(vectors))
+        return ToricSetSpec(q=q, exponents=vectors)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
 def parse_graph(text: str) -> GraphSpec:
     """Parse the graph file format: header "s", then one 1-indexed "i j" per line."""
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty graph file")
-    try:
-        s = int(lines[0])
-    except ValueError:
-        raise FormatError(f"header must be the vertex count, got {lines[0]!r}") from None
+    (s,), body = _int_lines(text, "graph", 1)
     edges = []
-    for k, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"edge line {k + 1} must be 'i j', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"edge line {k + 1} contains a non-integer: {line!r}") from None
+    for k, line in body:
+        i, j = _ints("graph", k, line, 2)
         if not (1 <= i <= s and 1 <= j <= s):
             raise FormatError(f"edge ({i}, {j}) out of range for {s} vertices (1-indexed)")
         edges.append((i - 1, j - 1))

@@ -10,7 +10,8 @@ once; both share one row operation, and the Hermite loop, exact or
 modular, ends with one bottom-up reduction above its pivots.
 No floating point and no machine-word arithmetic anywhere: a matrix takes
 its entries through ``operator.index``, so a float or a string is
-refused, never truncated.
+refused, never truncated.  One reader of integer lines serves the
+matrix, exponent and graph file formats.
 
 The invariant factors alone are computed modulo D, the gcd of the r x r
 minors (r the rank) that one Bareiss pass already produces; that pass
@@ -36,6 +37,8 @@ rows.
 
 from __future__ import annotations
 
+import re
+import sys
 from math import gcd
 from operator import index
 from typing import Iterable, Sequence
@@ -561,14 +564,32 @@ def integer_kernel(a: ZMatrix) -> ZMatrix:
     return ZMatrix.from_rows([row[n:] for row in h if not any(row[:n])], cols=a.rows)
 
 
-def _content_lines(text: str) -> list[str]:
-    """Non-blank lines with comment lines (leading '#') removed."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+def _int_lines(text: str, kind: str, width: int) -> tuple[list[int], list[tuple[int, str]]]:
+    """A ``kind`` file's header as ``width`` integers, and its other (number, line) pairs."""
+    lines = [(k, line) for k, raw in enumerate(text.splitlines(), 1)
+             if (line := raw.strip()) and line[0] != "#"]
+    if not lines:
+        raise FormatError(f"empty {kind} file")
+    return _ints(kind, *lines[0], width), lines[1:]
+
+
+def _ints(kind: str, number: int, line: str, width: int) -> list[int]:
+    """Line ``number`` of a ``kind`` file as exactly ``width`` tokens that ``int`` reads."""
+    parts = line.split()
+    if len(parts) == width:
+        try:
+            return list(map(int, parts))
+        except ValueError:
+            pass
+    where = f"{kind} file line {number}"
+    if len(parts) != width:
+        raise FormatError(f"{where}: field count {len(parts)}, expected {width}")
+    # a token of int's syntax fails only on Python's limit on decimal digits
+    for token in parts:
+        if not re.fullmatch(r"[+-]?\d+(_\d+)*", token):
+            raise FormatError(f"{where}: {token!r} is not an integer")
+    raise FormatError(f"{where}: an integer has more digits than Python's limit of "
+                      f"{sys.get_int_max_str_digits()} (sys.set_int_max_str_digits)")
 
 
 def parse_matrix(text: str) -> ZMatrix:
@@ -578,31 +599,15 @@ def parse_matrix(text: str) -> ZMatrix:
     row of whitespace-separated integers.  Blank lines and lines whose
     first nonblank character is ``#`` are ignored.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty matrix file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"header must be 'rows cols', got {lines[0]!r}")
-    try:
-        m, s = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"header must be two integers, got {lines[0]!r}") from None
+    (m, s), body = _int_lines(text, "matrix", 2)
     if m < 0 or s < 0:
         raise FormatError(f"dimensions must be nonnegative, got {m} {s}")
-    body = lines[1:]
     expected = m if s > 0 else 0
     if len(body) != expected:
         raise FormatError(f"expected {expected} row lines, got {len(body)}")
     entries: list[int] = []
-    for k, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != s:
-            raise FormatError(f"row {k + 1} has {len(parts)} entries, expected {s}")
-        try:
-            entries += map(int, parts)
-        except ValueError:
-            raise FormatError(f"row {k + 1} contains a non-integer entry: {line!r}") from None
+    for number, line in body:
+        entries += _ints("matrix", number, line, s)
     return ZMatrix(m, s, entries)
 
 

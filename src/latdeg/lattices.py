@@ -99,6 +99,8 @@ class HomogeneousLattice:
         return cls(ZMatrix.from_rows(rows, cols=ambient_dim))
 
     def __repr__(self) -> str:
+        if not hasattr(self, "rank"):  # __init__ stopped early, or never ran
+            return object.__repr__(self)
         return (
             f"HomogeneousLattice(s={self.ambient_dim}, rank={self.rank}, "
             f"generators={self.generators.to_rows()!r})"

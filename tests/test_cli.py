@@ -9,7 +9,16 @@ from pathlib import Path
 import pytest
 
 from conftest import random_int_matrix
-from latdeg import HomogeneousLattice, ZMatrix, format_matrix, hermite_basis, parse_matrix
+from latdeg import (
+    FormatError,
+    HomogeneousLattice,
+    ZMatrix,
+    format_matrix,
+    hermite_basis,
+    parse_graph,
+    parse_matrix,
+    parse_toric_spec,
+)
 from latdeg.cli import emit_cas_script, main
 
 EXAMPLE1 = """4 5
@@ -398,6 +407,76 @@ def test_toric_negative_count_exits_2(write, capsys, header, counts):
     assert code == 2
     assert out == ""
     assert err == f"error: counts n and s must be nonnegative, got {counts}\n"
+
+
+# name -> (subcommand, file text, error message) for each way a file can break its
+# format; a line number counts every line of the file, comments and blank lines too.
+# The negative toric counts and exponents are pinned by the two tests above.
+FORMAT_ERRORS = {
+    "matrix-empty": ("degree", "", "empty matrix file"),
+    "matrix-header-width": ("degree", "2\n1 -1\n", "matrix file line 1: field count 1, expected 2"),
+    "matrix-header-non-integer": ("degree", "2 x\n", "matrix file line 1: 'x' is not an integer"),
+    "matrix-negative-dimensions": ("degree", "-1 2\n", "dimensions must be nonnegative, got -1 2"),
+    "matrix-row-count": ("degree", "2 2\n1 -1\n", "expected 2 row lines, got 1"),
+    "matrix-zero-columns-row-count": ("degree", "2 0\n1 -1\n", "expected 0 row lines, got 1"),
+    "matrix-row-width": (
+        "degree", "# m s\n1 2\n\n1 -1 0\n", "matrix file line 4: field count 3, expected 2"
+    ),
+    "matrix-non-integer": (
+        "degree", "1 2\n1.0 -1\n", "matrix file line 2: '1.0' is not an integer"
+    ),
+    "exponent-empty": ("toric", "# only a comment\n", "empty exponent file"),
+    "exponent-header-width": (
+        "toric", "5 1\n1\n", "exponent file line 1: field count 2, expected 3"
+    ),
+    "exponent-header-non-integer": (
+        "toric", "5 1 s\n", "exponent file line 1: 's' is not an integer"
+    ),
+    "exponent-row-count": ("toric", "5 1 2\n1\n", "expected 2 exponent rows, got 1"),
+    "exponent-row-width": (
+        "toric", "5 1 2\n1\n# next\n2 3\n", "exponent file line 4: field count 2, expected 1"
+    ),
+    "exponent-non-integer": (
+        "toric", "5 1 1\n0x1\n", "exponent file line 2: '0x1' is not an integer"
+    ),
+    "exponent-no-rows": ("toric", "5 1 0\n", "need at least one exponent vector"),
+    "graph-empty": ("sandpile", "\n  \n", "empty graph file"),
+    "graph-header-width": ("sandpile", "3 3\n", "graph file line 1: field count 2, expected 1"),
+    "graph-header-non-integer": (
+        "sandpile", "three\n", "graph file line 1: 'three' is not an integer"
+    ),
+    "graph-negative-count": ("sandpile", "-2\n", "graph needs at least one vertex"),
+    "graph-edge-width": ("sandpile", "3\n1 2 3\n", "graph file line 2: field count 3, expected 2"),
+    "graph-non-integer": ("sandpile", "3\n1 2\n2 b\n", "graph file line 3: 'b' is not an integer"),
+    "graph-edge-range": (
+        "sandpile", "3\n1 4\n", "edge (1, 4) out of range for 3 vertices (1-indexed)"
+    ),
+    "graph-self-loop": ("sandpile", "3\n1 1\n", "self-loop at vertex 0"),
+    "graph-duplicate-edge": ("sandpile", "3\n1 2\n2 1\n", "duplicate edge (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_ERRORS))
+def test_format_errors_name_their_condition(name, write, capsys):
+    command, text, message = FORMAT_ERRORS[name]
+    assert run(capsys, command, write("bad.txt", text)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_matrix, "1 2\n" + "1" * 5000 + " -" + "1" * 5000, "matrix file line 2"),
+        (parse_toric_spec, "5 1 1\n+" + "1_0" * 2200 + "\n", "exponent file line 2"),
+        (parse_graph, "# s\n" + "9" * 4301 + "\n", "graph file line 2"),
+    ],
+    ids=["matrix", "exponent", "graph"],
+)
+def test_parsers_name_the_digit_limit(parse, text, where):
+    with int_digit_limit(4300), pytest.raises(FormatError) as exc:
+        parse(text)
+    limit = "an integer has more digits than Python's limit of 4300 (sys.set_int_max_str_digits)"
+    assert str(exc.value) == f"{where}: {limit}"
 
 
 @pytest.mark.parametrize(

@@ -350,6 +350,11 @@ def test_parse_ignores_comments_and_blanks():
     assert parse_matrix(text) == EXAMPLE2
 
 
+def test_parse_reads_a_token_as_int_does():
+    # a sign, single underscores between digits, and any Unicode decimal digit
+    assert parse_matrix("1 3\n1_0 -\u0661\u0660 +0\n") == ZMatrix.from_rows([[10, -10, 0]])
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -59,6 +59,19 @@ def test_construction(example2, example3):
     assert HomogeneousLattice(ZMatrix.from_rows(EXAMPLE2_ROWS)).rank == 2
 
 
+def test_repr_of_a_lattice_whose_init_stopped_early():
+    default = "<latdeg.lattices.HomogeneousLattice object at 0x"
+    assert repr(HomogeneousLattice.__new__(HomogeneousLattice)).startswith(default)
+    with pytest.raises(NotHomogeneous) as exc:
+        HomogeneousLattice.from_rows([[1, 2, 3], [1, 1, 1]])
+    # the half-built instance, as pytest finds it in the failing frame
+    half = next(entry.frame.f_locals["self"] for entry in exc.traceback if entry.name == "__init__")
+    assert repr(half).startswith(default)
+    assert repr(HomogeneousLattice.from_rows([[1, -1]])) == (
+        "HomogeneousLattice(s=2, rank=1, generators=[[1, -1]])"
+    )
+
+
 def test_contains_examples(example2, example3):
     assert example2.contains([18, -18, 0])
     assert not example3.contains([1, 0, -1])
