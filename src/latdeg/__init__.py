@@ -14,18 +14,49 @@ Reports and specs are immutable records (``latdeg._record``), which
 keep :mod:`dataclasses` and its :mod:`inspect` off the import path of
 every CLI process.  Each layer lists its public names once, in its own
 ``__all__``; the package re-exports exactly those.  Importing the
-package loads every layer eagerly; the benchmark's tracer wraps only
-the submodules already imported.
+package runs only the layers the degree needs (``errors``, ``intmat``,
+``lattices``).  The oracle layers ``hilbert`` and ``applications`` are
+put in ``sys.modules`` as :class:`importlib.util.LazyLoader` modules,
+compiled and run on the first access to one of their attributes.  A
+module ``__getattr__`` serves their names and ``__all__`` by reading
+the layer on every access, so a name patched or wrapped there is the
+one the package returns; looking up any other public name the package
+lacks loads both.  The benchmark's tracer wraps the latdeg modules in
+``sys.modules`` and reads each one's ``__all__``, which loads a lazy
+layer, so a traced run still sees every layer.
 """
 
-from . import applications, errors, hilbert, intmat, lattices
-from .applications import *
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+from . import errors, intmat, lattices
 from .errors import *
-from .hilbert import *
 from .intmat import *
 from .lattices import *
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *intmat.__all__, *lattices.__all__, *hilbert.__all__,
-           *applications.__all__, *errors.__all__]
+
+def _lazy(name: str):
+    """Submodule ``name``, in ``sys.modules`` now and run on its first attribute access."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+hilbert = _lazy("hilbert")
+applications = _lazy("applications")
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        return ["__version__", *intmat.__all__, *lattices.__all__, *hilbert.__all__,
+                *applications.__all__, *errors.__all__]
+    if not name.startswith("_"):
+        for layer in (hilbert, applications):
+            if name in layer.__all__:
+                return getattr(layer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,8 +22,8 @@ from operator import index
 from typing import Sequence
 
 from ._record import Record
-from .errors import BudgetExceeded, Disconnected, DomainError, FormatError, NonPrimeField
-from .hilbert import DEFAULT_BUDGET
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, Disconnected, DomainError, FormatError,
+                     NonPrimeField)
 from .intmat import ZMatrix, _int_lines, _ints, determinant, integer_kernel
 from .lattices import HomogeneousLattice
 
@@ -354,11 +354,19 @@ def parse_graph(text: str) -> GraphSpec:
     """Parse the graph file format: header "s", then one 1-indexed "i j" per line."""
     (s,), body = _int_lines(text, "graph", 1)
     edges = []
+    seen = set()
     for k, line in body:
         i, j = _ints("graph", k, line, 2)
         if not (1 <= i <= s and 1 <= j <= s):
             raise FormatError(f"edge ({i}, {j}) out of range for {s} vertices (1-indexed)")
-        edges.append((i - 1, j - 1))
+        # checked here, not left to GraphSpec, to name the file's vertices and line
+        if i == j:
+            raise FormatError(f"graph file line {k}: self-loop at vertex {i}")
+        edge = (min(i, j) - 1, max(i, j) - 1)
+        if edge in seen:
+            raise FormatError(f"graph file line {k}: duplicate edge ({i}, {j})")
+        seen.add(edge)
+        edges.append(edge)
     try:
         return GraphSpec(vertex_count=s, edges=tuple(edges))
     except ValueError as exc:

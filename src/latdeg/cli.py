@@ -8,8 +8,11 @@ outside an operation's mathematical domain or when standard output is
 closed before the report is written, 2 on usage or parse errors.
 Integers of any length are read from files and written: ``main`` lifts
 Python's limit on their decimal digits while it runs.  Each command is
-a fresh process that pays for every module it imports, so :mod:`json`
-is imported only when ``--json`` output is written.
+a fresh process that pays for every module it imports and every parser
+it builds.  So :mod:`json` is imported only when ``--json`` output is
+written; the handlers call ``hilbert`` and ``applications`` through
+their lazy modules, which only the commands that use them load; and
+``main`` builds the subparser of the command it runs, not all nine.
 """
 
 from __future__ import annotations
@@ -19,17 +22,9 @@ import os
 import sys
 from typing import Sequence
 
-from . import __version__
+from . import __version__, applications, hilbert
 from ._record import Record
-from .applications import (
-    check_sandpile_degree,
-    check_vanishing_degree,
-    ci_hypothesis_check,
-    parse_graph,
-    parse_toric_spec,
-)
-from .errors import BudgetExceeded, DomainError, FormatError
-from .hilbert import DEFAULT_BUDGET, hilbert_profile, verify_degree
+from .errors import DEFAULT_BUDGET, BudgetExceeded, DomainError, FormatError
 from .intmat import ZMatrix, format_matrix, hermite_basis, parse_matrix, smith_invariants
 from .lattices import HomogeneousLattice
 
@@ -152,9 +147,14 @@ def _summary_fields(lattice: HomogeneousLattice) -> list:
 
 
 def _read_text(path: str) -> str:
+    """The text of ``path``, without a leading UTF-8 byte-order mark.
+
+    The mark is dropped after decoding, not by the ``utf-8-sig`` codec,
+    which would count the byte offset of a decoding error from after it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise FormatError(
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
@@ -210,7 +210,8 @@ def _cmd_torsion(args) -> list:
 
 
 def _cmd_hilbert(args) -> list:
-    profile = hilbert_profile(_read_lattice(args.input), args.max_degree, budget=args.budget)
+    lattice = _read_lattice(args.input)
+    profile = hilbert.hilbert_profile(lattice, args.max_degree, budget=args.budget)
     fields = [(None, d, value) for d, value in enumerate(profile.values)]
     if profile.degree_estimate is None:
         fields.append((None, "no constant finite difference up to degree", args.max_degree))
@@ -225,13 +226,13 @@ def _cmd_hilbert(args) -> list:
 
 
 def _cmd_verify(args) -> list:
-    return _record_fields(verify_degree(_read_lattice(args.input), budget=args.budget))
+    return _record_fields(hilbert.verify_degree(_read_lattice(args.input), budget=args.budget))
 
 
 def _cmd_toric(args) -> list:
-    spec = parse_toric_spec(_read_text(args.input))
-    vanishing = check_vanishing_degree(spec, budget=args.budget)
-    ci = ci_hypothesis_check(spec)
+    spec = applications.parse_toric_spec(_read_text(args.input))
+    vanishing = applications.check_vanishing_degree(spec, budget=args.budget)
+    ci = applications.ci_hypothesis_check(spec)
     fields = [
         *_record_fields(vanishing),
         ("ci", None, ci),
@@ -246,14 +247,49 @@ def _cmd_toric(args) -> list:
 
 
 def _cmd_sandpile(args) -> list:
-    return _record_fields(check_sandpile_degree(parse_graph(_read_text(args.input))))
+    graph = applications.parse_graph(_read_text(args.input))
+    return _record_fields(applications.check_sandpile_degree(graph))
 
 
 def _cmd_emit(args) -> None:
     sys.stdout.write(emit_cas_script(_read_lattice(args.input), args.format))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (handler, help, input help, options past "input" and "--json")
+_COMMANDS = {
+    "snf": (_cmd_snf, "Smith normal form of a matrix", "matrix file", ()),
+    "hnf": (_cmd_hnf, "Hermite normal form of a matrix", "matrix file", ()),
+    "degree": (_cmd_degree, "degree of the lattice ideal (rank s-1 only)", "matrix file", ()),
+    "torsion": (_cmd_torsion, "torsion structure of Z^s modulo the lattice", "matrix file", ()),
+    "hilbert": (_cmd_hilbert, "coset-counting function of the lattice", "matrix file",
+                ("--budget", "--max-degree")),
+    "verify": (_cmd_verify, "cross-check the degree against the coset counter", "matrix file",
+               ("--budget",)),
+    "toric": (_cmd_toric, "degree vs point count for a parameterized projective set",
+              "exponent file", ("--budget",)),
+    "sandpile": (_cmd_sandpile, "degree vs spanning trees of a graph", "graph file", ()),
+    "emit": (_cmd_emit, "emit a script for external cross-validation", "matrix file",
+             ("--format",)),
+}
+
+_OPTIONS = {
+    "--budget": {"type": int, "default": DEFAULT_BUDGET,
+                 "help": "enumeration budget (default %(default)s)"},
+    "--max-degree": {"type": int, "default": 12,
+                     "help": "largest degree to count (default %(default)s)"},
+    "--format": {"choices": ("macaulay2", "maple"), "default": "macaulay2",
+                 "help": "target computer-algebra system (default %(default)s)"},
+}
+
+
+def build_parser(names: Sequence[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The top-level parser with the subcommand parsers of ``names`` only.
+
+    Each subparser costs its build time in every process, so ``main``
+    builds just the one its first argument names.  The usage line lists
+    every subcommand either way; with all of them built it is left to
+    argparse, so that an unknown one is refused as ``argument command``.
+    """
     parser = argparse.ArgumentParser(
         prog="latdeg",
         description=(
@@ -262,75 +298,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, input_help, budget=False, max_degree=False, fmt=False):
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_text, input_help, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help=input_help)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if budget:
-            p.add_argument(
-                "--budget",
-                type=int,
-                default=DEFAULT_BUDGET,
-                help="enumeration budget (default %(default)s)",
-            )
-        if max_degree:
-            p.add_argument(
-                "--max-degree",
-                type=int,
-                default=12,
-                dest="max_degree",
-                help="largest degree to count (default %(default)s)",
-            )
-        if fmt:
-            p.add_argument(
-                "--format",
-                choices=("macaulay2", "maple"),
-                default="macaulay2",
-                help="target computer-algebra system (default %(default)s)",
-            )
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(func=func)
-
-    add("snf", _cmd_snf, "Smith normal form of a matrix", "matrix file")
-    add("hnf", _cmd_hnf, "Hermite normal form of a matrix", "matrix file")
-    add("degree", _cmd_degree, "degree of the lattice ideal (rank s-1 only)", "matrix file")
-    add("torsion", _cmd_torsion, "torsion structure of Z^s modulo the lattice", "matrix file")
-    add(
-        "hilbert",
-        _cmd_hilbert,
-        "coset-counting function of the lattice",
-        "matrix file",
-        budget=True,
-        max_degree=True,
-    )
-    add(
-        "verify",
-        _cmd_verify,
-        "cross-check the degree against the coset counter",
-        "matrix file",
-        budget=True,
-    )
-    add(
-        "toric",
-        _cmd_toric,
-        "degree vs point count for a parameterized projective set",
-        "exponent file",
-        budget=True,
-    )
-    add("sandpile", _cmd_sandpile, "degree vs spanning trees of a graph", "graph file")
-    add(
-        "emit",
-        _cmd_emit,
-        "emit a script for external cross-validation",
-        "matrix file",
-        fmt=True,
-    )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "budget", 1) < 1:
         parser.error("--budget must be at least 1")

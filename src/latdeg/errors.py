@@ -2,11 +2,16 @@
 
 ``DomainError`` subclasses mean the inputs were outside an operation's
 domain (the CLI maps them to exit status 1).  ``FormatError`` means an
-input file could not be parsed (exit status 2).
+input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``
+is the enumeration budget the oracles and the CLI default to; it lives
+here, out of ``__all__``, so that ``applications`` and the CLI read it
+without loading ``hilbert``, which re-exports it.
 """
 
 __all__ = ["DomainError", "DimensionMismatch", "NonSquare", "NotHomogeneous", "RankMismatch",
            "BudgetExceeded", "NotStabilized", "Disconnected", "NonPrimeField", "FormatError"]
+
+DEFAULT_BUDGET = 2_000_000
 
 
 class DomainError(Exception):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import comb
 
 from ._record import Record
-from .errors import BudgetExceeded, DomainError, NotStabilized
+from .errors import DEFAULT_BUDGET, BudgetExceeded, DomainError, NotStabilized
 from .lattices import HomogeneousLattice
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "DegreeCheck",
     "verify_degree",
 ]
-
-DEFAULT_BUDGET = 2_000_000
 
 
 class HilbertProfile(Record):

@@ -451,8 +451,10 @@ FORMAT_ERRORS = {
     "graph-edge-range": (
         "sandpile", "3\n1 4\n", "edge (1, 4) out of range for 3 vertices (1-indexed)"
     ),
-    "graph-self-loop": ("sandpile", "3\n1 1\n", "self-loop at vertex 0"),
-    "graph-duplicate-edge": ("sandpile", "3\n1 2\n2 1\n", "duplicate edge (0, 1)"),
+    "graph-self-loop": ("sandpile", "3\n1 1\n", "graph file line 2: self-loop at vertex 1"),
+    "graph-duplicate-edge": (
+        "sandpile", "3\n1 2\n2 1\n", "graph file line 3: duplicate edge (2, 1)"
+    ),
 }
 
 
@@ -490,6 +492,26 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, command, name):
     assert out == ""
     assert err.startswith(f"error: {path}: not UTF-8 text")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["degree", "data/example2.mat"],
+    ["toric", "data/torus_q5.exp"],
+    ["sandpile", "data/complete4.graph"],
+], ids=["matrix", "exponent", "graph"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, argv):
+    command, name = argv
+    path = tmp_path / Path(name).name
+    path.write_bytes(b"\xef\xbb\xbf" + (ROOT / name).read_bytes())
+    assert run(capsys, command, str(path)) == run(capsys, command, str(ROOT / name))
+
+
+def test_byte_order_mark_keeps_decoding_offsets(tmp_path, capsys):
+    path = tmp_path / "bad.mat"
+    path.write_bytes(b"\xef\xbb\xbf3 3\n\xff\n")
+    code, out, err = run(capsys, "degree", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 7)\n"
 
 
 @pytest.mark.parametrize("key", sorted(CLI_PINS))
