@@ -43,10 +43,7 @@ __all__ = [
     "check_sandpile_degree",
     "parse_toric_spec",
     "parse_graph",
-    "MAX_TREE_EDGES",
 ]
-
-MAX_TREE_EDGES = 24
 
 
 # Miller-Rabin with the first 12 prime bases is exact below this bound
@@ -298,15 +295,23 @@ def reduced_laplacian(g: GraphSpec) -> ZMatrix:
     return ZMatrix.from_rows([row[:-1] for row in rows], cols=g.vertex_count - 1)
 
 
-def spanning_tree_count(g: GraphSpec) -> int:
+def spanning_tree_count(g: GraphSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Exact spanning-tree count by enumerating edge subsets of size s-1.
 
-    A subset of s-1 edges on s vertices is a spanning tree exactly when
-    each of its edges joins two components, so a union-find pass decides.
+    The C(E, s-1) subsets of the E edges must fit in ``budget``.  The
+    check builds C(E, i) up from i = 0 and stops past the budget, so a
+    large graph is refused with a lower bound, without the cost (or the
+    digits) of the whole binomial.  A subset of s-1 edges on s vertices
+    is a spanning tree exactly when each of its edges joins two
+    components, so a union-find pass decides.
     """
     s = g.vertex_count
-    if len(g.edges) > MAX_TREE_EDGES:
-        raise BudgetExceeded(len(g.edges), MAX_TREE_EDGES, what="edge count")
+    e = len(g.edges)
+    needed = 1
+    for i in range(min(s - 1, e - s + 1)):
+        needed = needed * (e - i) // (i + 1)
+        if needed > budget:
+            raise BudgetExceeded(needed, budget, what="edge subset count at least")
     return sum(
         _joining_edges(s, subset) == s - 1 for subset in itertools.combinations(g.edges, s - 1)
     )
@@ -319,13 +324,13 @@ class SandpileCheck(Record):
     agree: bool
 
 
-def check_sandpile_degree(g: GraphSpec) -> SandpileCheck:
+def check_sandpile_degree(g: GraphSpec, budget: int = DEFAULT_BUDGET) -> SandpileCheck:
     """Three independent routes to one number, compared.
 
-    The tree count goes first: its edge budget refuses a large graph
-    before the Laplacian lattice of that graph is eliminated.
+    The tree count goes first: its budget refuses a large graph before
+    the Laplacian lattice of that graph is eliminated.
     """
-    trees = spanning_tree_count(g)
+    trees = spanning_tree_count(g, budget)
     deg = build_laplacian_lattice(g).degree()
     det = abs(determinant(reduced_laplacian(g)))
     return SandpileCheck(

@@ -6,33 +6,22 @@ kernels.  Each normal form has one elimination loop, and no unimodular
 transform is returned: the degree needs only the invariant factors, and
 the integer kernel is read off the Hermite form of [A | I].  The loops
 work on lists of rows, which the public functions take from a matrix
-once; both share one row operation, and the Hermite loop, exact or
-modular, ends with one bottom-up reduction above its pivots.
-No floating point and no machine-word arithmetic anywhere: a matrix takes
-its entries through ``operator.index``, so a float or a string is
-refused, never truncated.  One reader of integer lines serves the
-matrix, exponent and graph file formats.
+once, and share one row operation.  No floating point and no
+machine-word arithmetic anywhere: a matrix takes its entries through
+``operator.index``, so a float or a string is refused, never truncated.
+One reader of integer lines serves the matrix, exponent and graph file
+formats.
 
 The invariant factors alone are computed modulo D, the gcd of the r x r
-minors (r the rank) that one Bareiss pass already produces; that pass
-is shared with the determinant.  It clears two columns per sweep
-wherever the 2 x 2 pivot block is nonsingular (Bareiss's two-step
-variant), and one column for a singular block, in the last three
-columns and for a last single row, so its minors and tail are exactly
-those of the one-step pass.  Every one of the first r invariant
-factors divides D, so reducing mod D loses none of them, and entries
-stay below D instead of swelling.  The Hermite elimination also takes a
-modulus, a multiple of the index of a full-rank row lattice; the public
-Hermite functions run it exact.  The block the pass leaves at three
-columns gives such a multiple from other minors, without a second pass.
-
-With a modulus R, both loops pivot on a unit mod R wherever one is left
-and scale a row only by the inverse of a unit.  Their rows are packed
-one int each, a nonnegative field per column of the width that
-``_field_width`` bounds, so that clearing a column is one multiply-add
-per row (Kronecker substitution); a residue is read as the field mod R.
-Where no unit is left, the min-|x| loop runs on the unpacked, reduced
-rows.
+minors (r the rank) that one Bareiss pass already produces
+(``_fraction_free``, shared with the determinant); see
+:func:`smith_invariants` for why no factor is lost.  The Hermite
+elimination also takes a modulus, a multiple of the index of a
+full-rank row lattice, which the block the pass leaves at three columns
+gives from other minors; the public Hermite functions run it exact.
+With a modulus, both loops clear what columns they can with a unit
+pivot on packed rows (``_unit_sweep``), and the others with the min-|x|
+loop on unpacked, reduced rows.
 """
 
 from __future__ import annotations
@@ -248,33 +237,57 @@ def _pack(values: list[int], w: int) -> int:
     return v
 
 
-def _unit_pivots(d: list[list[int]], s: int, modulus: int) -> int:
-    """Unit pivots of the Smith loop mod R on packed rows; returns their number.
+def _unit_sweep(rows: list[int], j: int, cols: Iterable[int], w: int, modulus: int) -> list | None:
+    """Clear column j of the packed ``rows`` with a unit pivot mod R.
 
-    The row of an entry x with gcd(x, R) = 1, reduced and scaled by the
-    inverse of x mod R, clears its column with one multiply-add per row,
-    and then the pivot's row and column drop out: an invariant factor 1.
-    Leaves in ``d`` the reduced block that holds no unit.
+    Each row is one int, a nonnegative field per column, the first
+    lowest, of the width that ``_field_width`` bounds; a residue is its
+    field mod R.  Takes out of ``rows`` the first row whose field j is a
+    unit x, scales its fields in ``cols`` by x**-1 mod R, clears field j
+    of every other row with one multiply-add (Kronecker substitution),
+    and returns the scaled fields in ``cols`` order (None if no unit).
+    """
+    mask = (1 << w) - 1
+    shift = w * j
+    for i, row in enumerate(rows):
+        if gcd(row >> shift & mask, modulus) == 1:
+            break
+    else:
+        return None
+    del rows[i]
+    u = pow(row >> shift & mask, -1, modulus)
+    fields = []
+    pivot = 0
+    for c in cols:
+        x = u * (row >> w * c & mask) % modulus
+        fields.append(x)
+        pivot |= x << w * c
+    for k, v in enumerate(rows):
+        y = (v >> shift & mask) % modulus
+        if y:
+            rows[k] = v + (modulus - y) * pivot
+    return fields
+
+
+def _unit_pivots(d: list[list[int]], s: int, modulus: int) -> int:
+    """Unit pivots of the Smith loop mod R, each an invariant factor 1; returns their number.
+
+    Sweeps the live columns left to right until a pass sweeps none, and
+    leaves in ``d`` the reduced block of the others, which holds no unit.
     """
     w = _field_width(modulus, len(d), s)
     mask = (1 << w) - 1
     rows = [_pack([x % modulus for x in row], w) for row in d]
     cols = list(range(s))
-    while True:
-        hit = next(((i, j) for i, v in enumerate(rows) for j in cols
-                    if gcd(v >> w * j & mask, modulus) == 1), None)
-        if hit is None:
-            d[:] = [[(v >> w * k & mask) % modulus for k in cols] for v in rows]
-            return s - len(cols)
-        i, j = hit
-        row = rows.pop(i)
-        cols.remove(j)
-        u = pow(row >> w * j & mask, -1, modulus)
-        pivot = sum((u * (row >> w * k & mask) % modulus) << w * k for k in cols)
-        for k, v in enumerate(rows):
-            y = (v >> w * j & mask) % modulus
-            if y:
-                rows[k] = v + (modulus - y) * pivot
+    live = None
+    while live != len(cols):
+        live = len(cols)
+        for j in cols[:]:
+            # the pivot carries every live column, a skipped one left of j too
+            if _unit_sweep(rows, j, cols, w, modulus) is not None:
+                cols.remove(j)
+    d[:] = [[(v >> w * k & mask) % modulus for k in cols] for v in rows]
+    return s - len(cols)
 
 
 def _row_sub(di: list[int], dj: list[int], q: int, start: int, modulus: int) -> None:
@@ -307,10 +320,8 @@ def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> 
     With a positive ``modulus`` D (and nothing carried) the loop
     eliminates the lattice spanned by the rows and D*Z^s, and the
     factors are gcd(diagonal entry, D) for each of the min(m, s)
-    diagonal positions.  It first takes every unit pivot it can find
-    (``_unit_pivots``) on rows packed one int each, so that clearing a
-    column is one multiply-add per row; each gives the factor 1.  The
-    classical loop then runs on the block left, which holds no unit,
+    diagonal positions.  It first takes every unit pivot
+    (``_unit_pivots``), then runs the classical loop on the block left,
     with every entry kept reduced mod D.  Its stray test asks for
     divisibility by gcd(pivot, D), the generator of the pivot's ideal
     mod D; since that gcd divides D, residues of its multiples stay its
@@ -452,16 +463,14 @@ def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> list[int]:
 
     A positive ``modulus`` R requires a full-rank row lattice in Z^s
     whose index divides R, so it contains R*Z^s (Domich-Kannan-Trotter),
-    and every one of the s columns gets a pivot.  The rows below the
-    pivots are packed one int each, reduced mod R.  A column with a unit
-    mod R gets the pivot 1: the unit's row, reduced and scaled by the
-    inverse of the unit, clears the column with one multiply-add per
-    row, and leaves its row sparse.  A column without one is unpacked
-    and worked by the Euclid sweeps, with rows kept reduced mod R; its
-    pivot is h = gcd(x, R) for the entry x left (R if the column is all
-    zero mod R), its row u * row mod R with u*x = h mod R, and then
-    R //= h.  Once R is 1 every entry is a unit and every pivot left is
-    1; R = 1 at the start gives the identity basis at once.
+    and every one of the s columns gets a pivot.  A column with a unit
+    mod R gets the pivot 1 from ``_unit_sweep`` on the rows below the
+    pivots, packed.  A column without one is unpacked and worked by the
+    Euclid sweeps, with rows kept reduced mod R; its pivot is h =
+    gcd(x, R) for the entry x left (R if the column is all zero mod R),
+    its row u * row mod R with u*x = h mod R, and then R //= h.  Once R
+    is 1 every entry is a unit and every pivot left is 1; R = 1 at the
+    start gives the identity basis at once.
     """
     m, s = len(h), len(h[0]) if h else 0
     if modulus == 1:
@@ -477,21 +486,12 @@ def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> list[int]:
         if r == m:
             break
         if modulus:
-            shift = w * j
-            unit = next((i for i in range(r, m) if gcd(packed[i] >> shift & mask, modulus) == 1),
-                        None)
-            if unit is not None:
-                v, packed[unit] = packed[unit], packed[r]
-                u = pow(v >> shift & mask, -1, modulus)
-                h[r] = [0] * j + [1] + [u * (v >> w * c & mask) % modulus for c in range(j + 1, s)]
-                v = _pack(h[r][j:], w) << shift
-                for i in range(r + 1, m):
-                    y = (packed[i] >> shift & mask) % modulus
-                    if y:
-                        packed[i] += (modulus - y) * v
+            fields = _unit_sweep(packed, j, range(j, s), w, modulus)
+            if fields is not None:
+                h[r] = [0] * j + [1] + fields[1:]  # u * x mod R is 0 once R is 1
                 cols.append(j)
                 continue
-            h[r:] = [[(v >> w * c & mask) % modulus for c in range(s)] for v in packed[r:]]
+            h[r:] = [[(v >> w * c & mask) % modulus for c in range(s)] for v in packed]
         while True:
             best = None
             for i in range(r, m):
@@ -515,7 +515,7 @@ def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> list[int]:
             pivot = gcd(row[j], modulus)
             u = pow(row[j] // pivot, -1, modulus // pivot)
             h[r] = row[:j] + [pivot] + [u * x % modulus for x in row[j + 1 :]]
-            packed[r + 1 :] = [_pack(row, w) for row in h[r + 1 :]]
+            packed = [_pack(row, w) for row in h[r + 1 :]]
             modulus //= pivot
         elif not row[j]:
             continue  # the column is zero below the pivots found so far

@@ -203,11 +203,30 @@ def test_spanning_tree_examples():
 
 
 def test_spanning_tree_budget():
-    complete8 = GraphSpec(
-        8, tuple((i, j) for i in range(8) for j in range(i + 1, 8))
+    # C(45, 9) = 886,163,135 edge subsets; the check stops at C(45, 6)
+    complete10 = GraphSpec(
+        10, tuple((i, j) for i in range(10) for j in range(i + 1, 10))
     )
+    with pytest.raises(BudgetExceeded) as exc:
+        spanning_tree_count(complete10)
+    assert (exc.value.needed, exc.value.budget) == (comb(45, 6), 2_000_000)
+
+
+def test_spanning_tree_budget_bounds_subsets_before_the_count(monkeypatch):
+    # K4 has C(6, 3) = 20 edge subsets of size 3; a 30-vertex path has one
+    path30 = GraphSpec(30, tuple((i, i + 1) for i in range(29)))
+    assert spanning_tree_count(path30, budget=1) == 1
+    assert spanning_tree_count(K4, budget=20) == 16
+
+    def refuse(*_args):
+        raise AssertionError("edge subsets walked before the budget was checked")
+
+    monkeypatch.setattr(applications, "_joining_edges", refuse)
+    with pytest.raises(BudgetExceeded) as exc:
+        spanning_tree_count(K4, budget=19)
+    assert (exc.value.needed, exc.value.budget) == (20, 19)
     with pytest.raises(BudgetExceeded):
-        spanning_tree_count(complete8)
+        check_sandpile_degree(K4, budget=19)
 
 
 def test_three_way_sandpile_agreement():

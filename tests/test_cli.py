@@ -253,6 +253,19 @@ def test_sandpile_command(write, capsys):
     }
 
 
+def test_sandpile_on_a_path_past_the_old_edge_cap(write, capsys):
+    # 29 edges but one edge subset of size 29: within the budget on the work
+    text = "30\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 30))
+    code, out, _ = run(capsys, "sandpile", write("path.graph", text), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "degree": "1",
+        "spanning_trees": "1",
+        "reduced_laplacian_det": "1",
+        "agree": True,
+    }
+
+
 def test_emit_macaulay2(write, capsys):
     code, out, _ = run(capsys, "emit", write("m.mat", EXAMPLE2))
     assert code == 0

@@ -14,8 +14,9 @@ without its last column.  The breadth-first coset counts of
 between monomials.  The modular Smith and Hermite loops, which work on
 packed rows with unit pivots first, are checked directly against the
 lattice of the rows and R*Z^n, and through the lattice on bases whose
-degree has at least 40 bits and on non-cyclic groups.  The two-step
-Bareiss pass must return exactly what the one-step reference
+degree has at least 40 bits and on non-cyclic groups; the Smith unit
+phase must leave no unit mod R behind.  The two-step Bareiss pass must
+return exactly what the one-step reference
 (``conftest.fraction_free_reference``) returns, and the queries on
 sparse basis rows exactly what a reduction over the dense rows of
 ``basis`` returns, at s = 8 to 30 and every rank.
@@ -47,7 +48,8 @@ from latdeg import (
     hilbert_profile,
     smith_invariants,
 )
-from latdeg.intmat import _fraction_free, _hermite_elimination, _smith_elimination, _tail_modulus
+from latdeg.intmat import (_fraction_free, _hermite_elimination, _smith_elimination, _tail_modulus,
+                           _unit_pivots)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -394,6 +396,19 @@ def modular_cases(draw):
 def test_modular_loops_match_the_lattice_with_modulus_rows(case):
     a, modulus = case
     check_modular_loops(a, modulus, minors_invariant_factors(with_modulus_rows(a, modulus)))
+
+
+@SETTINGS
+@given(modular_cases())
+@example((ZMatrix.from_rows([[2, 1], [3, 1]]), 6))  # column 0 has a unit once column 1 is swept
+def test_unit_pivots_leave_no_unit(case):
+    """The Smith unit phase leaves a reduced block without a unit mod R."""
+    a, modulus = case
+    d = a.to_rows()
+    units = _unit_pivots(d, a.cols, modulus)
+    assert len(d) == a.rows - units
+    assert all(len(row) == a.cols - units for row in d)
+    assert all(0 <= x < modulus and gcd(x, modulus) > 1 for row in d for x in row)
 
 
 @pytest.mark.parametrize("n, modulus, g", [(8, 2**20 - 1, 15), (12, 2**40 - 1, 341), (12, 999, 27)])
