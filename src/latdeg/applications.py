@@ -295,12 +295,12 @@ def reduced_laplacian(g: GraphSpec) -> ZMatrix:
     return ZMatrix.from_rows([row[:-1] for row in rows], cols=g.vertex_count - 1)
 
 
-def spanning_tree_count(g: GraphSpec, budget: int = DEFAULT_BUDGET) -> int:
+def spanning_tree_count(g: GraphSpec) -> int:
     """Exact spanning-tree count by enumerating edge subsets of size s-1.
 
-    The C(E, s-1) subsets of the E edges must fit in ``budget``.  The
-    check builds C(E, i) up from i = 0 and stops past the budget, so a
-    large graph is refused with a lower bound, without the cost (or the
+    The C(E, s-1) subsets of the E edges must fit in ``DEFAULT_BUDGET``.
+    The check builds C(E, i) up from i = 0 and stops past the budget, so
+    a large graph is refused with a lower bound, without the cost (or the
     digits) of the whole binomial.  A subset of s-1 edges on s vertices
     is a spanning tree exactly when each of its edges joins two
     components, so a union-find pass decides.
@@ -310,8 +310,10 @@ def spanning_tree_count(g: GraphSpec, budget: int = DEFAULT_BUDGET) -> int:
     needed = 1
     for i in range(min(s - 1, e - s + 1)):
         needed = needed * (e - i) // (i + 1)
-        if needed > budget:
-            raise BudgetExceeded(needed, budget, what="edge subset count at least")
+        if needed > DEFAULT_BUDGET:
+            break
+    if needed > DEFAULT_BUDGET:
+        raise BudgetExceeded(needed, DEFAULT_BUDGET, what="edge subset count at least")
     return sum(
         _joining_edges(s, subset) == s - 1 for subset in itertools.combinations(g.edges, s - 1)
     )
@@ -324,13 +326,13 @@ class SandpileCheck(Record):
     agree: bool
 
 
-def check_sandpile_degree(g: GraphSpec, budget: int = DEFAULT_BUDGET) -> SandpileCheck:
+def check_sandpile_degree(g: GraphSpec) -> SandpileCheck:
     """Three independent routes to one number, compared.
 
     The tree count goes first: its budget refuses a large graph before
     the Laplacian lattice of that graph is eliminated.
     """
-    trees = spanning_tree_count(g, budget)
+    trees = spanning_tree_count(g)
     deg = build_laplacian_lattice(g).degree()
     det = abs(determinant(reduced_laplacian(g)))
     return SandpileCheck(

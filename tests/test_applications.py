@@ -215,18 +215,28 @@ def test_spanning_tree_budget():
 def test_spanning_tree_budget_bounds_subsets_before_the_count(monkeypatch):
     # K4 has C(6, 3) = 20 edge subsets of size 3; a 30-vertex path has one
     path30 = GraphSpec(30, tuple((i, i + 1) for i in range(29)))
-    assert spanning_tree_count(path30, budget=1) == 1
-    assert spanning_tree_count(K4, budget=20) == 16
+    single = GraphSpec(1, ())
+    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 1)
+    assert spanning_tree_count(path30) == 1
+    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 20)
+    assert spanning_tree_count(K4) == 16
 
     def refuse(*_args):
         raise AssertionError("edge subsets walked before the budget was checked")
 
     monkeypatch.setattr(applications, "_joining_edges", refuse)
+    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 19)
     with pytest.raises(BudgetExceeded) as exc:
-        spanning_tree_count(K4, budget=19)
+        spanning_tree_count(K4)
     assert (exc.value.needed, exc.value.budget) == (20, 19)
     with pytest.raises(BudgetExceeded):
-        check_sandpile_degree(K4, budget=19)
+        check_sandpile_degree(K4)
+    # a tree has a single subset, which a budget below 1 still refuses
+    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 0)
+    for tree in (path30, single):
+        with pytest.raises(BudgetExceeded) as exc:
+            spanning_tree_count(tree)
+        assert (exc.value.needed, exc.value.budget) == (1, 0)
 
 
 def test_three_way_sandpile_agreement():
