@@ -21,9 +21,11 @@ compiled and run on the first access to one of their attributes.  A
 module ``__getattr__`` serves their names and ``__all__`` by reading
 the layer on every access, so a name patched or wrapped there is the
 one the package returns; looking up any other public name the package
-lacks loads both.  The benchmark's tracer wraps the latdeg modules in
-``sys.modules`` and reads each one's ``__all__``, which loads a lazy
-layer, so a traced run still sees every layer.
+lacks loads both, unless it names a submodule (``from latdeg import
+cli`` asks for ``cli`` before importing it), which loads neither.  The
+benchmark's tracer wraps the latdeg modules in ``sys.modules`` and
+reads each one's ``__all__``, which loads a lazy layer, so a traced run
+still sees every layer.
 """
 
 import sys
@@ -55,7 +57,8 @@ def __getattr__(name: str):
     if name == "__all__":
         return ["__version__", *intmat.__all__, *lattices.__all__, *hilbert.__all__,
                 *applications.__all__, *errors.__all__]
-    if not name.startswith("_"):
+    # a submodule about to be imported is not looked up in the lazy layers
+    if name.isidentifier() and name[0] != "_" and find_spec(f"{__name__}.{name}") is None:
         for layer in (hilbert, applications):
             if name in layer.__all__:
                 return getattr(layer, name)

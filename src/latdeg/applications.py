@@ -8,10 +8,11 @@ its own elementary counting oracle:
 * graph Laplacian row lattices, where the degree must equal the number
   of spanning trees (and the reduced-Laplacian determinant).
 
-Specs and reports are immutable records; the two specs normalise and
-validate their fields in ``__post_init__``.  The two file parsers read
-through the integer-line reader of :mod:`latdeg.intmat` and keep only
-their own format's rules.
+Both enumerations are sized first by ``errors.bounded_count``, which
+stops once past the budget.  Specs and reports are immutable records;
+the two specs normalise and validate their fields in ``__post_init__``.
+The two file parsers read through the integer-line reader of
+:mod:`latdeg.intmat` and keep only their own format's rules.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, Disconnected, DomainError, FormatError,
-                     NonPrimeField)
+                     NonPrimeField, bounded_count)
 from .intmat import ZMatrix, _int_lines, _ints, determinant, integer_kernel
 from .lattices import HomogeneousLattice
 
@@ -152,13 +153,15 @@ def enumerate_toric_set(spec: ToricSetSpec, budget: int = DEFAULT_BUDGET) -> set
     """All distinct points of the set, normalized to first coordinate 1.
 
     Iterates the full parameter grid of size (q-1)^n, which must fit in
-    ``budget``.  Points are deduplicated after dividing by the first
-    coordinate, so members are s-tuples over [1, q-1] starting with 1.
+    ``budget``.  The check multiplies n factors q - 1 and stops once past
+    the budget, so a large grid is refused with a lower bound.  Points
+    are deduplicated after dividing by the first coordinate, so members
+    are s-tuples over [1, q-1] starting with 1.
     """
     q, n = spec.q, spec.n
-    needed = (q - 1) ** n
+    needed = bounded_count(itertools.repeat(q - 1, n), itertools.repeat(1), budget)
     if needed > budget:
-        raise BudgetExceeded(needed, budget, what="parameter grid size")
+        raise BudgetExceeded(needed, budget, what="parameter grid size at least")
     return {_point(spec, x) for x in itertools.product(range(1, q), repeat=n)}
 
 
@@ -307,11 +310,7 @@ def spanning_tree_count(g: GraphSpec) -> int:
     """
     s = g.vertex_count
     e = len(g.edges)
-    needed = 1
-    for i in range(min(s - 1, e - s + 1)):
-        needed = needed * (e - i) // (i + 1)
-        if needed > DEFAULT_BUDGET:
-            break
+    needed = bounded_count(range(e, max(s - 1, e - s + 1), -1), range(1, s), DEFAULT_BUDGET)
     if needed > DEFAULT_BUDGET:
         raise BudgetExceeded(needed, DEFAULT_BUDGET, what="edge subset count at least")
     return sum(

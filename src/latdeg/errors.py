@@ -5,13 +5,33 @@ domain (the CLI maps them to exit status 1).  ``FormatError`` means an
 input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``
 is the enumeration budget the oracles and the CLI default to; it lives
 here, out of ``__all__``, so that ``applications`` and the CLI read it
-without loading ``hilbert``, which re-exports it.
+without loading ``hilbert``, which re-exports it.  ``bounded_count``,
+also out of ``__all__``, sizes every enumeration against its budget.
 """
+
+from typing import Iterable
 
 __all__ = ["DomainError", "DimensionMismatch", "NonSquare", "NotHomogeneous", "RankMismatch",
            "BudgetExceeded", "NotStabilized", "Disconnected", "NonPrimeField", "FormatError"]
 
 DEFAULT_BUDGET = 2_000_000
+
+
+def bounded_count(numerators: Iterable[int], denominators: Iterable[int], budget: int) -> int:
+    """The product of the fractions n_i / d_i, built up pair by pair until past ``budget``.
+
+    Each partial product must be an integer no smaller than the one
+    before, so the result exceeds ``budget`` exactly when the whole
+    product does, and is then a lower bound for it.  A power b**n is n
+    factors b over 1; a binomial C(N, k) is N, N - 1, ... over 1, 2, ...,
+    min(k, N - k) of each, whose partial products are C(N, i).
+    """
+    count = 1
+    for n, d in zip(numerators, denominators):
+        count = count * n // d
+        if count > budget:
+            break
+    return count
 
 
 class DomainError(Exception):
@@ -53,7 +73,10 @@ class RankMismatch(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """An enumeration would exceed its configured budget."""
+    """An enumeration would exceed its configured budget.
+
+    Where the message says "at least", ``needed`` is a lower bound.
+    """
 
     def __init__(self, needed: int, budget: int, what: str = "enumeration size"):
         self.needed = needed

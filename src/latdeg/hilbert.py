@@ -11,15 +11,14 @@ Cayley graph of the quotient group with those steps.  One breadth-first
 search over cosets, each named by its canonical residue under the
 lattice's Hermite basis, gives every count.  Finite differences of the
 counts then recover the degree without any reference to the Smith form.
-The profile and the side-by-side check are immutable records.
+The search is sized first by ``errors.bounded_count``.  The profile
+and the side-by-side check are immutable records.
 """
 
 from __future__ import annotations
 
-from math import comb
-
 from ._record import Record
-from .errors import DEFAULT_BUDGET, BudgetExceeded, DomainError, NotStabilized
+from .errors import DEFAULT_BUDGET, BudgetExceeded, DomainError, NotStabilized, bounded_count
 from .lattices import HomogeneousLattice
 
 __all__ = [
@@ -119,7 +118,10 @@ def hilbert_profile(
     finite group of order |T|, the torsion order, so the search takes at
     most |T| * s residue steps, plus d_max + 1 values to write out.  The
     smaller bound must stay within ``budget``; |T| is read for this
-    bound only, never for the counts.
+    bound only, never for the counts.  The monomial count is built up
+    from C(d_max + s - 1, 0) and stops once past the budget (at rank
+    s - 1, past the larger of the budget and the residue steps), so a
+    refusal names a lower bound for it, never the whole binomial.
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
@@ -128,12 +130,13 @@ def hilbert_profile(
         raise DomainError(
             "ambient dimension is 0; coset counting needs a lattice in Z^s with s >= 1"
         )
-    needed = comb(d_max + s - 1, s - 1)
-    what = "estimated monomial count"
-    if lattice.rank == s - 1:
-        steps = lattice.degree() * s + d_max + 1
-        if steps < needed:
-            needed, what = steps, "coset search work"
+    corank_one = lattice.rank == s - 1
+    steps = lattice.degree() * s + d_max + 1 if corank_one else 0
+    top = d_max + s - 1
+    needed = bounded_count(range(top, max(d_max, s - 1), -1), range(1, s), max(budget, steps))
+    what = "estimated monomial count at least"
+    if corank_one and steps < needed:
+        needed, what = steps, "coset search work"
     if needed > budget:
         raise BudgetExceeded(needed, budget, what=what)
     return _make_profile(_ball_sizes(lattice, d_max), window=max(3, s))

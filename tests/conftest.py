@@ -15,7 +15,9 @@ both unimodular) but cannot vouch for its invariant factors on its own;
 library's two-step pass must reproduce exactly.
 """
 
+import contextlib
 import itertools
+import sys
 from math import gcd
 
 from latdeg import (
@@ -296,3 +298,18 @@ def is_strictly_increasing_then_constant(values):
     while i + 1 < len(values) and values[i] < values[i + 1]:
         i += 1
     return all(v == values[i] for v in values[i:])
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Python's limit on int <-> str digits set to ``digits`` (0: none), where it exists."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    saved = get()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)

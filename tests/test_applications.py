@@ -118,11 +118,13 @@ def test_vanishing_check_refuses_before_eliminating(monkeypatch):
         raise AssertionError("the toric lattice was built before the budget check")
 
     monkeypatch.setattr(applications, "build_toric_lattice", fail)
-    # q = 5, n = 1600: a 4^1600 grid, and a 1603 x 1601 kernel problem
+    # q = 5, n = 1600: a 4^1600 grid, and a 1603 x 1601 kernel problem; the
+    # check stops at 4^11, the first power of 4 past the budget
     spec = ToricSetSpec(q=5, exponents=tuple((i, 1, 2 * i) * 533 + (i,) for i in range(3)))
     with pytest.raises(BudgetExceeded) as exc:
         check_vanishing_degree(spec)
-    assert (exc.value.needed, exc.value.budget) == (4**1600, 2_000_000)
+    assert (exc.value.needed, exc.value.budget) == (4**11, 2_000_000)
+    assert str(exc.value) == "parameter grid size at least 4194304 exceeds budget 2000000"
 
 
 def test_toric_set_is_multiplicative_group():

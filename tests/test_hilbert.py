@@ -159,10 +159,13 @@ def test_random_suite_agreement_and_shape():
 
 def test_budget_enforced():
     zero = HomogeneousLattice.from_rows([], ambient_dim=4)
+    # C(103, 3) monomials of degree 100; the count stops at C(103, 2), the
+    # first C(103, i) past the budget
     with pytest.raises(BudgetExceeded) as exc:
         hilbert_profile(zero, 100, budget=1000)
-    assert exc.value.needed == comb(103, 3)
+    assert exc.value.needed == comb(103, 2)
     assert exc.value.budget == 1000
+    assert str(exc.value) == "estimated monomial count at least 5253 exceeds budget 1000"
 
 
 def test_corank_one_budget_bounds_residue_steps(example2):

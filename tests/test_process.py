@@ -81,6 +81,8 @@ def _command(*argv):
 @pytest.mark.parametrize("statement, ran", [
     ("import latdeg", []),
     ("import latdeg.cli", []),
+    # the import system asks the package for ``cli`` before importing it
+    ("from latdeg import cli", []),
     (_command("snf", "data/example1.mat"), []),
     (_command("degree", "data/example2.mat"), []),
     (_command("emit", "data/example2.mat"), []),
@@ -88,8 +90,8 @@ def _command(*argv):
     (_command("verify", "data/example2.mat"), ["hilbert"]),
     (_command("toric", "data/torus_q5.exp"), ["applications"]),
     (_command("sandpile", "data/complete4.graph"), ["applications"]),
-], ids=["import latdeg", "import latdeg.cli", "snf", "degree", "emit", "hilbert", "verify",
-        "toric", "sandpile"])
+], ids=["import latdeg", "import latdeg.cli", "from latdeg import cli", "snf", "degree", "emit",
+        "hilbert", "verify", "toric", "sandpile"])
 def test_only_the_layers_a_caller_uses_run(statement, ran):
     assert _layers_run(statement) == ran
 
