@@ -121,7 +121,8 @@ def hilbert_profile(
     bound only, never for the counts.  The monomial count is built up
     from C(d_max + s - 1, 0) and stops once past the budget (at rank
     s - 1, past the larger of the budget and the residue steps), so a
-    refusal names a lower bound for it, never the whole binomial.
+    refusal names a lower bound for it; at rank s - 1 that may be the
+    whole binomial, when the residue steps are larger still.
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")

@@ -21,9 +21,7 @@ full-rank row lattice, which the block the pass leaves at three columns
 gives from other minors; the public Hermite functions run it exact.
 With a modulus, both loops clear what columns they can with a unit
 pivot on packed rows (``_unit_sweep``), and the others with the min-|x|
-loop on unpacked, reduced rows, unless the entries share a factor g
-with the modulus R, 1 < g < R: then they are divided by g and
-eliminated modulo R/g, so 2*A costs about what A costs.
+loop on unpacked, reduced rows.
 """
 
 from __future__ import annotations
@@ -324,23 +322,13 @@ def _smith_elimination(d: list[list[int]], m: int, s: int, modulus: int = 0) -> 
     factors are gcd(diagonal entry, D) for each of the min(m, s)
     diagonal positions.  It first takes every unit pivot
     (``_unit_pivots``), then runs the classical loop on the block left,
-    with every entry kept reduced mod D.  If the entries of that block
-    and D have a gcd g with 1 < g < D, the block is g times a block B
-    and the lattice it spans with D*Z^n is g times that of B and
-    (D/g)*Z^n, so the loop returns g times the factors of B mod D/g.
-    Its stray test asks for divisibility by gcd(pivot, D), the generator
-    of the pivot's ideal mod D; since that gcd divides D, residues of
-    its multiples stay its multiples, and the factors still form a
-    divisibility chain.
+    with every entry kept reduced mod D.  Its stray test asks for
+    divisibility by gcd(pivot, D), the generator of the pivot's ideal
+    mod D; since that gcd divides D, residues of its multiples stay its
+    multiples, and the factors still form a divisibility chain.
     """
     units = _unit_pivots(d, s, modulus) if modulus else 0
     m, s = m - units, s - units
-    if modulus:
-        g = gcd(modulus, *(x for row in d for x in row))
-        if 1 < g < modulus:
-            d[:] = [[x // g for x in row] for row in d]
-            return (1,) * units + tuple(
-                g * f for f in _smith_elimination(d, m, s, modulus=modulus // g))
     t = 0
 
     def swap_cols(i, j):
@@ -477,16 +465,12 @@ def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> list[int]:
     whose index divides R, so it contains R*Z^s (Domich-Kannan-Trotter),
     and every one of the s columns gets a pivot.  A column with a unit
     mod R gets the pivot 1 from ``_unit_sweep`` on the rows below the
-    pivots, packed.  A column without one is unpacked.  If the rows
-    there, from column j on, and R have a gcd g with 1 < g < R, those
-    rows span g times a lattice that contains (R/g)*Z^(s-j), so the
-    loop finishes with g times the Hermite basis of the rows divided by
-    g, modulo R/g.  Otherwise the column is worked by the Euclid sweeps,
-    with rows kept reduced mod R; its pivot is h = gcd(x, R) for the
-    entry x left (R if the column is all zero mod R), its row u * row
-    mod R with u*x = h mod R, and then R //= h.  Once R is 1 every
-    entry is a unit and every pivot left is 1; R = 1 at the start gives
-    the identity basis at once.
+    pivots, packed.  A column without one is unpacked and worked by the
+    Euclid sweeps, with rows kept reduced mod R; its pivot is h =
+    gcd(x, R) for the entry x left (R if the column is all zero mod R),
+    its row u * row mod R with u*x = h mod R, and then R //= h.  Once R
+    is 1 every entry is a unit and every pivot left is 1; R = 1 at the
+    start gives the identity basis at once.
     """
     m, s = len(h), len(h[0]) if h else 0
     if modulus == 1:
@@ -508,12 +492,6 @@ def _hermite_elimination(h: list[list[int]], modulus: int = 0) -> list[int]:
                 cols.append(j)
                 continue
             h[r:] = [[(v >> w * c & mask) % modulus for c in range(s)] for v in packed]
-            g = gcd(modulus, *(x for row in h[r:] for x in row[j:]))
-            if 1 < g < modulus:
-                block = [[x // g for x in row[j:]] for row in h[r:]]
-                cols += [j + c for c in _hermite_elimination(block, modulus=modulus // g)]
-                h[r:] = [[0] * j + [g * x for x in row] for row in block]
-                break
         while True:
             best = None
             for i in range(r, m):

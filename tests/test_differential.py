@@ -16,9 +16,9 @@ packed rows with unit pivots first, are checked directly against the
 lattice of the rows and R*Z^n, and through the lattice on bases whose
 degree has at least 40 bits and on non-cyclic groups; the Smith unit
 phase must leave no unit mod R behind.  Scaling every row by k must
-scale the invariant factors and the Hermite basis by k, without a
-min-|x| sweep, and scaling only some rows must keep the exact answers.  The two-step Bareiss pass must
-return exactly what the one-step reference
+scale the invariant factors and the Hermite basis by k, and scaling
+only some rows must keep the exact answers.  The two-step Bareiss pass
+must return exactly what the one-step reference
 (``conftest.fraction_free_reference``) returns, and the queries on
 sparse basis rows exactly what a reduction over the dense rows of
 ``basis`` returns, at s = 8 to 30 and every rank.
@@ -48,7 +48,6 @@ from latdeg import (
     determinant,
     hermite_basis,
     hilbert_profile,
-    intmat,
     smith_invariants,
 )
 from latdeg.intmat import (_fraction_free, _hermite_elimination, _smith_elimination, _tail_modulus,
@@ -463,9 +462,9 @@ def test_scaled_rows_scale_the_invariant_factors(a, k, mask):
 def test_scaled_rows_scale_the_lattice(case, k, mask):
     """k * L has k times the invariant factors and k times the Hermite basis of L.
 
-    At rank s - 1 no block of k * L has a unit mod the modulus until the
-    loops divide out its content.  With only some rows scaled, the
-    answers must still be those of the exact loops.
+    At rank s - 1 no block of k * L has a unit mod the modulus, so the
+    modular loops take their min-|x| sweeps.  With only some rows
+    scaled, the answers must still be those of the exact loops.
     """
     s, rows = case
     lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
@@ -475,27 +474,6 @@ def test_scaled_rows_scale_the_lattice(case, k, mask):
     mixed = HomogeneousLattice.from_rows(scaled(rows, k, mask), ambient_dim=s)
     assert mixed.basis == hermite_basis(mixed.generators)
     assert mixed.invariant_factors == smith_normal_form(mixed.generators).invariant_factors
-
-
-def test_scaled_blocks_take_no_min_abs_sweep(monkeypatch):
-    """2 * A, A a random 20 x 20 matrix: its content 2 is divided out before any block loop.
-
-    Without that, no entry of 2 * A is a unit mod its even modulus, and
-    both modular loops fall back to the min-|x| sweeps of ``_row_sub``
-    (1,694 calls for the Smith factors and 3,968 for the lattice).
-    """
-    rng = random.Random(20)
-    a = [[rng.randint(-9, 9) for _ in range(20)] for _ in range(20)]
-    factors = smith_invariants(ZMatrix.from_rows(a))
-    lattice = lattice_of_head(a)
-    calls = []
-    row_sub = intmat._row_sub
-    monkeypatch.setattr(intmat, "_row_sub", lambda *args: calls.append(args) or row_sub(*args))
-    assert smith_invariants(ZMatrix.from_rows(scaled(a, 2))) == tuple(2 * f for f in factors)
-    doubled = lattice_of_head(scaled(a, 2))
-    assert doubled.invariant_factors == tuple(2 * f for f in lattice.invariant_factors)
-    assert doubled.basis.to_rows() == scaled(lattice.basis.to_rows(), 2)
-    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("extra", [0, 3], ids=["basis", "m=s+2"])
