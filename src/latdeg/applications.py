@@ -9,8 +9,9 @@ its own elementary counting oracle:
   of spanning trees (and the reduced-Laplacian determinant).
 
 Both enumerations are sized first by ``errors.bounded_count``, which
-stops once past the budget.  Specs and reports are immutable records;
-the two specs normalise and validate their fields in ``__post_init__``.
+stops once past the fixed ``errors.DEFAULT_BUDGET``.  Specs and reports
+are immutable records; the two specs normalise and validate their
+fields in ``__post_init__``.
 The two file parsers read through the integer-line reader of
 :mod:`latdeg.intmat` and keep only their own format's rules.
 """
@@ -149,19 +150,19 @@ def _point(spec: ToricSetSpec, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(c * inv % q for c in coords)
 
 
-def enumerate_toric_set(spec: ToricSetSpec, budget: int = DEFAULT_BUDGET) -> set[tuple[int, ...]]:
+def enumerate_toric_set(spec: ToricSetSpec) -> set[tuple[int, ...]]:
     """All distinct points of the set, normalized to first coordinate 1.
 
     Iterates the full parameter grid of size (q-1)^n, which must fit in
-    ``budget``.  The check multiplies n factors q - 1 and stops once past
-    the budget, so a large grid is refused with a lower bound.  Points
-    are deduplicated after dividing by the first coordinate, so members
-    are s-tuples over [1, q-1] starting with 1.
+    ``DEFAULT_BUDGET``.  The check multiplies n factors q - 1 and stops
+    once past the budget, so a large grid is refused with a lower bound.
+    Points are deduplicated after dividing by the first coordinate, so
+    members are s-tuples over [1, q-1] starting with 1.
     """
     q, n = spec.q, spec.n
-    needed = bounded_count(itertools.repeat(q - 1, n), itertools.repeat(1), budget)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget, what="parameter grid size at least")
+    needed = bounded_count(itertools.repeat(q - 1, n), itertools.repeat(1), DEFAULT_BUDGET)
+    if needed > DEFAULT_BUDGET:
+        raise BudgetExceeded(needed, DEFAULT_BUDGET, what="parameter grid size at least")
     return {_point(spec, x) for x in itertools.product(range(1, q), repeat=n)}
 
 
@@ -171,10 +172,10 @@ class VanishingCheck(Record):
     agree: bool
 
 
-def check_vanishing_degree(spec: ToricSetSpec, budget: int = DEFAULT_BUDGET) -> VanishingCheck:
+def check_vanishing_degree(spec: ToricSetSpec) -> VanishingCheck:
     """Compare lattice degree with the brute-force point count."""
     # the count goes first: its budget refuses a large grid before elimination
-    count = len(enumerate_toric_set(spec, budget=budget))
+    count = len(enumerate_toric_set(spec))
     deg = build_toric_lattice(spec).degree()
     return VanishingCheck(lattice_degree=deg, point_count=count, agree=deg == count)
 

@@ -211,7 +211,7 @@ def _cmd_torsion(args) -> list:
 
 def _cmd_hilbert(args) -> list:
     lattice = _read_lattice(args.input)
-    profile = hilbert.hilbert_profile(lattice, args.max_degree, budget=args.budget)
+    profile = hilbert.hilbert_profile(lattice, args.max_degree)
     fields = [(None, d, value) for d, value in enumerate(profile.values)]
     if profile.degree_estimate is None:
         fields.append((None, "no constant finite difference up to degree", args.max_degree))
@@ -226,12 +226,12 @@ def _cmd_hilbert(args) -> list:
 
 
 def _cmd_verify(args) -> list:
-    return _record_fields(hilbert.verify_degree(_read_lattice(args.input), budget=args.budget))
+    return _record_fields(hilbert.verify_degree(_read_lattice(args.input)))
 
 
 def _cmd_toric(args) -> list:
     spec = applications.parse_toric_spec(_read_text(args.input))
-    vanishing = applications.check_vanishing_degree(spec, budget=args.budget)
+    vanishing = applications.check_vanishing_degree(spec)
     ci = applications.ci_hypothesis_check(spec)
     fields = [
         *_record_fields(vanishing),
@@ -262,19 +262,16 @@ _COMMANDS = {
     "degree": (_cmd_degree, "degree of the lattice ideal (rank s-1 only)", "matrix file", ()),
     "torsion": (_cmd_torsion, "torsion structure of Z^s modulo the lattice", "matrix file", ()),
     "hilbert": (_cmd_hilbert, "coset-counting function of the lattice", "matrix file",
-                ("--budget", "--max-degree")),
-    "verify": (_cmd_verify, "cross-check the degree against the coset counter", "matrix file",
-               ("--budget",)),
+                ("--max-degree",)),
+    "verify": (_cmd_verify, "cross-check the degree against the coset counter", "matrix file", ()),
     "toric": (_cmd_toric, "degree vs point count for a parameterized projective set",
-              "exponent file", ("--budget",)),
+              "exponent file", ()),
     "sandpile": (_cmd_sandpile, "degree vs spanning trees of a graph", "graph file", ()),
     "emit": (_cmd_emit, "emit a script for external cross-validation", "matrix file",
              ("--format",)),
 }
 
 _OPTIONS = {
-    "--budget": {"type": int, "default": DEFAULT_BUDGET,
-                 "help": "enumeration budget (default %(default)s)"},
     "--max-degree": {"type": int, "default": 12,
                      "help": "largest degree to count (default %(default)s)"},
     "--format": {"choices": ("macaulay2", "maple"), "default": "macaulay2",
@@ -315,8 +312,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", 1) < 1:
-        parser.error("--budget must be at least 1")
     if getattr(args, "max_degree", 0) < 0:
         parser.error("--max-degree must be nonnegative")
     # integers are unbounded: lift Python's limit on their decimal digits

@@ -3,16 +3,17 @@
 ``DomainError`` subclasses mean the inputs were outside an operation's
 domain (the CLI maps them to exit status 1).  ``FormatError`` means an
 input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``
-is the enumeration budget the oracles and the CLI default to; it lives
-here, out of ``__all__``, so that ``applications`` and the CLI read it
-without loading ``hilbert``, which re-exports it.  ``bounded_count``,
-also out of ``__all__``, sizes every enumeration against its budget.
+is the one budget of every bounded operation: the oracles' enumerations
+and the CLI's matrix reader check against it, each reading it when
+called, and none takes a budget of its own.  ``bounded_count``, out of
+``__all__``, sizes an enumeration against it.
 """
 
 from typing import Iterable
 
-__all__ = ["DomainError", "DimensionMismatch", "NonSquare", "NotHomogeneous", "RankMismatch",
-           "BudgetExceeded", "NotStabilized", "Disconnected", "NonPrimeField", "FormatError"]
+__all__ = ["DEFAULT_BUDGET", "DomainError", "DimensionMismatch", "NonSquare", "NotHomogeneous",
+           "RankMismatch", "BudgetExceeded", "NotStabilized", "Disconnected", "NonPrimeField",
+           "FormatError"]
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -73,7 +74,7 @@ class RankMismatch(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """An enumeration would exceed its configured budget.
+    """An enumeration would exceed ``DEFAULT_BUDGET``.
 
     Where the message says "at least", ``needed`` is a lower bound.
     """

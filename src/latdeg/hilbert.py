@@ -11,8 +11,9 @@ Cayley graph of the quotient group with those steps.  One breadth-first
 search over cosets, each named by its canonical residue under the
 lattice's Hermite basis, gives every count.  Finite differences of the
 counts then recover the degree without any reference to the Smith form.
-The search is sized first by ``errors.bounded_count``.  The profile
-and the side-by-side check are immutable records.
+The search is sized first by ``errors.bounded_count`` against the
+fixed ``DEFAULT_BUDGET``.  The profile and the side-by-side check are
+immutable records.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import DEFAULT_BUDGET, BudgetExceeded, DomainError, NotStabilized, 
 from .lattices import HomogeneousLattice
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "HilbertProfile",
     "hilbert_profile",
     "oracle_degree",
@@ -104,11 +104,7 @@ def _ball_sizes(lattice: HomogeneousLattice, d_max: int) -> tuple[int, ...]:
     return tuple(sizes) + (len(seen),) * (d_max + 1 - len(sizes))
 
 
-def hilbert_profile(
-    lattice: HomogeneousLattice,
-    d_max: int,
-    budget: int = DEFAULT_BUDGET,
-) -> HilbertProfile:
+def hilbert_profile(lattice: HomogeneousLattice, d_max: int) -> HilbertProfile:
     """Coset counts for every degree 0..d_max.
 
     The counts are the sizes of the breadth-first balls around the coset
@@ -117,12 +113,13 @@ def hilbert_profile(
     exponent vector of degree d_max.  At rank s - 1 the steps stay in a
     finite group of order |T|, the torsion order, so the search takes at
     most |T| * s residue steps, plus d_max + 1 values to write out.  The
-    smaller bound must stay within ``budget``; |T| is read for this
-    bound only, never for the counts.  The monomial count is built up
-    from C(d_max + s - 1, 0) and stops once past the budget (at rank
-    s - 1, past the larger of the budget and the residue steps), so a
-    refusal names a lower bound for it; at rank s - 1 that may be the
-    whole binomial, when the residue steps are larger still.
+    smaller bound must stay within ``DEFAULT_BUDGET``, read at each
+    call; |T| is read for this bound only, never for the counts.  The
+    monomial count is built up from C(d_max + s - 1, 0) and stops once
+    past the budget (at rank s - 1, past the larger of the budget and
+    the residue steps), so a refusal names a lower bound for it; at rank
+    s - 1 that may be the whole binomial, when the residue steps are
+    larger still.
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
@@ -134,12 +131,13 @@ def hilbert_profile(
     corank_one = lattice.rank == s - 1
     steps = lattice.degree() * s + d_max + 1 if corank_one else 0
     top = d_max + s - 1
-    needed = bounded_count(range(top, max(d_max, s - 1), -1), range(1, s), max(budget, steps))
+    needed = bounded_count(range(top, max(d_max, s - 1), -1), range(1, s),
+                           max(DEFAULT_BUDGET, steps))
     what = "estimated monomial count at least"
     if corank_one and steps < needed:
         needed, what = steps, "coset search work"
-    if needed > budget:
-        raise BudgetExceeded(needed, budget, what=what)
+    if needed > DEFAULT_BUDGET:
+        raise BudgetExceeded(needed, DEFAULT_BUDGET, what=what)
     return _make_profile(_ball_sizes(lattice, d_max), window=max(3, s))
 
 
@@ -160,7 +158,7 @@ class DegreeCheck(Record):
     agree: bool
 
 
-def verify_degree(lattice: HomogeneousLattice, budget: int = DEFAULT_BUDGET) -> DegreeCheck:
+def verify_degree(lattice: HomogeneousLattice) -> DegreeCheck:
     """Run the coset counter far enough to certify the degree and compare.
 
     Requires rank s-1.  The counter runs to the proven constancy bound
@@ -169,7 +167,7 @@ def verify_degree(lattice: HomogeneousLattice, budget: int = DEFAULT_BUDGET) -> 
     """
     snf_deg = lattice.degree()
     bound = lattice.regularity_upper_bound()
-    profile = hilbert_profile(lattice, bound + lattice.ambient_dim, budget=budget)
+    profile = hilbert_profile(lattice, bound + lattice.ambient_dim)
     found = oracle_degree(profile)
     return DegreeCheck(
         snf_degree=snf_deg,

@@ -11,6 +11,8 @@ script text and the README records the expected external output.
 import random
 import time
 
+import pytest
+
 from conftest import (
     diagonal,
     is_strictly_increasing_then_constant,
@@ -33,6 +35,7 @@ from latdeg import (
     check_vanishing_degree,
     determinant,
     hermite_basis,
+    hilbert,
     hilbert_profile,
     oracle_degree,
     verify_degree,
@@ -57,16 +60,18 @@ def report(number, description, ok):
 
 
 def random_verified_suite(seed, count, budget):
-    """Random rank-(s-1) lattices with their verify reports, budget respected."""
+    """Random rank-(s-1) lattices with their verify reports, under ``budget``."""
     rng = random.Random(seed)
     suite = []
-    while len(suite) < count:
-        lat = random_corank1_lattice(rng, rng.choice((2, 3, 4)), 6)
-        try:
-            check = verify_degree(lat, budget=budget)
-        except BudgetExceeded:
-            continue
-        suite.append((lat, check))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hilbert, "DEFAULT_BUDGET", budget)
+        while len(suite) < count:
+            lat = random_corank1_lattice(rng, rng.choice((2, 3, 4)), 6)
+            try:
+                check = verify_degree(lat)
+            except BudgetExceeded:
+                continue
+            suite.append((lat, check))
     return suite
 
 
@@ -220,13 +225,12 @@ def test_criterion_08_snf_algebraic_invariants_500_matrices():
               f"divisibility chain, factor product == |det|, {elapsed:.1f}s", ok)
 
 
-def test_criterion_09_monotone_then_constant_across_suite():
+def test_criterion_09_monotone_then_constant_across_suite(monkeypatch):
     suite = _suite()
+    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 30_000)
     ok = True
     for lat, check in suite:
-        profile = hilbert_profile(
-            lat, check.regularity_bound + lat.ambient_dim, budget=30_000
-        )
+        profile = hilbert_profile(lat, check.regularity_bound + lat.ambient_dim)
         ok = (
             ok
             and is_strictly_increasing_then_constant(profile.values)

@@ -102,12 +102,14 @@ def test_enumerate_points_are_normalized():
             assert all(1 <= c <= spec.q - 1 for c in point)
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     spec = ToricSetSpec(q=7, exponents=((1, 1), (2, 0)))
+    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_toric_set(spec, budget=10)
+        enumerate_toric_set(spec)
     assert exc.value.needed == 36
-    # the library's default is the CLI's: 2,000,000 points
+    # the budget itself, which the CLI uses too: 2,000,000 points
+    monkeypatch.undo()
     with pytest.raises(BudgetExceeded) as exc:
         check_vanishing_degree(ToricSetSpec(q=2003, exponents=((1, 1), (2, 0))))
     assert (exc.value.needed, exc.value.budget) == (2002**2, 2_000_000)

@@ -4,8 +4,9 @@ Each of the three brute-force routes sizes its work before it starts,
 by building the count up (``errors.bounded_count``) and stopping once it
 passes the budget.  Here the exact count comes from ``math.comb`` or a
 power, and every budget around it and around each partial count is
-tried: a route must refuse exactly when the exact count exceeds the
-budget, and then name the first partial count past it, a lower bound.
+tried, patched in as the layer's ``DEFAULT_BUDGET``: a route must
+refuse exactly when the exact count exceeds the budget, and then name
+the first partial count past it, a lower bound.
 The enumerations themselves are replaced by a stub, so an accepted
 size costs nothing.
 """
@@ -72,7 +73,8 @@ def test_toric_grid_refusals_match_the_exact_grid(monkeypatch):
             exact = (q - 1) ** n
             partials = [(q - 1) ** i for i in range(1, n + 1)]
             for budget in budgets_around(*partials):
-                exc = refusal(lambda: enumerate_toric_set(spec, budget=budget))
+                monkeypatch.setattr(applications, "DEFAULT_BUDGET", budget)
+                exc = refusal(lambda: enumerate_toric_set(spec))
                 assert (exc is not None) == (exact > budget), (q, n, budget)
                 if exc is not None:
                     assert exc.needed == first_past(partials, budget) <= exact
@@ -107,7 +109,8 @@ def test_monomial_and_coset_refusals_match_the_exact_counts(monkeypatch):
                 steps = lattice.degree() * s + d_max + 1 if corank_one else monomials
                 exact = min(monomials, steps)
                 for budget in budgets_around(*partials, steps):
-                    exc = refusal(lambda: hilbert_profile(lattice, d_max, budget=budget))
+                    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", budget)
+                    exc = refusal(lambda: hilbert_profile(lattice, d_max))
                     assert (exc is not None) == (exact > budget), (lattice, d_max, budget)
                     if exc is None:
                         continue

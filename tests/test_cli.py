@@ -14,6 +14,7 @@ from latdeg import (
     ZMatrix,
     format_matrix,
     hermite_basis,
+    hilbert,
     parse_graph,
     parse_matrix,
     parse_toric_spec,
@@ -187,14 +188,9 @@ def test_hilbert_command(write, capsys):
     assert payload["stabilization_degree"] is None
 
 
-def test_hilbert_budget_error(write, capsys):
-    code, _, err = run(
-        capsys,
-        "hilbert",
-        write("m.mat", EXAMPLE2),
-        "--max-degree", "500",
-        "--budget", "100",
-    )
+def test_hilbert_budget_error(write, capsys, monkeypatch):
+    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 100)
+    code, _, err = run(capsys, "hilbert", write("m.mat", EXAMPLE2), "--max-degree", "500")
     assert code == 1
     assert "BudgetExceeded" in err
 
@@ -371,9 +367,11 @@ def test_usage_error_exits_2(capsys):
 
 def test_bad_flag_values_exit_2(write, capsys):
     path = write("m.mat", EXAMPLE2)
+    # the budget is fixed: no command takes one
     with pytest.raises(SystemExit) as exc:
-        main(["hilbert", path, "--budget", "0"])
+        main(["verify", path, "--budget", "5"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", path, "--max-degree", "-3"])
     assert exc.value.code == 2

@@ -6,8 +6,11 @@ must return exit status 0, 1 or 2 and raise nothing; the one exception
 allowed is argparse's ``SystemExit(2)``.  A successful ``--json`` run
 (``emit`` aside, which prints its script) must print valid JSON whose
 integers all sit under the renderer's numeric keys.  Header values and
-row counts are drawn from small ranges so that every example runs in
-milliseconds.
+row counts are drawn from small ranges, and the oracle commands run
+under a small ``DEFAULT_BUDGET`` patched into their layer, so that every
+example runs in milliseconds.  Every command's extra arguments must
+parse, or each of its examples would end in argparse's usage error and
+test nothing.
 """
 
 import contextlib
@@ -20,7 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latdeg.cli import _NUMERIC_KEYS, main
+from latdeg import applications, hilbert
+from latdeg.cli import _NUMERIC_KEYS, build_parser, main
 
 FUZZ = settings(
     max_examples=40,
@@ -30,17 +34,17 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# subcommand -> (file format, extra arguments)
+# subcommand -> (file format, extra arguments, (layer, DEFAULT_BUDGET there) or None)
 COMMANDS = {
-    "snf": ("matrix", []),
-    "hnf": ("matrix", []),
-    "degree": ("matrix", []),
-    "torsion": ("matrix", []),
-    "hilbert": ("matrix", ["--budget", "300", "--max-degree", "6"]),
-    "verify": ("matrix", ["--budget", "2000"]),
-    "emit": ("matrix", []),
-    "toric": ("exponent", ["--budget", "300"]),
-    "sandpile": ("graph", []),
+    "snf": ("matrix", [], None),
+    "hnf": ("matrix", [], None),
+    "degree": ("matrix", [], None),
+    "torsion": ("matrix", [], None),
+    "hilbert": ("matrix", ["--max-degree", "6"], (hilbert, 300)),
+    "verify": ("matrix", [], (hilbert, 2000)),
+    "emit": ("matrix", [], None),
+    "toric": ("exponent", [], (applications, 300)),
+    "sandpile": ("graph", [], None),
 }
 
 entry = st.one_of(st.integers(-3, 3), st.integers(-9, 9), st.integers(-(10**30), 10**30))
@@ -105,8 +109,10 @@ NEAR_VALID = {"matrix": matrix_text(), "exponent": exponent_text(), "graph": gra
 
 def run_cli(command: str, data: bytes, json_flag: bool) -> int:
     """Run ``main`` on ``data`` written to a file; the exit status or SystemExit(2)."""
-    _format, extra = COMMANDS[command]
-    with tempfile.TemporaryDirectory() as tmp:
+    _format, extra, budget = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(budget[0], "DEFAULT_BUDGET", budget[1])
         path = os.path.join(tmp, "input")
         with open(path, "wb") as fh:
             fh.write(data)
@@ -136,6 +142,13 @@ def assert_numbers_are_structural(key, value):
             assert_numbers_are_structural(key, item)
     elif isinstance(value, int) and not isinstance(value, bool):
         assert key in _NUMERIC_KEYS, (key, value)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_extra_arguments_parse(command):
+    """argparse accepts each command's extra arguments, so the examples reach ``main``'s work."""
+    _format, extra, _budget = COMMANDS[command]
+    assert build_parser().parse_args([command, "input", *extra]).command == command
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

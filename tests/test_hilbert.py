@@ -15,6 +15,7 @@ from latdeg import (
     HomogeneousLattice,
     NotStabilized,
     RankMismatch,
+    hilbert,
     hilbert_profile,
     oracle_degree,
     verify_degree,
@@ -140,52 +141,58 @@ def test_residue_soundness(example2, example3):
                 assert equal == lattice.contains([x - y for x, y in zip(a, b)])
 
 
-def test_random_suite_agreement_and_shape():
+def test_random_suite_agreement_and_shape(monkeypatch):
+    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 30_000)
     rng = random.Random(909)
     done = 0
     while done < 30:
         lat = random_corank1_lattice(rng, rng.choice((2, 3, 4)), 6)
         try:
-            check = verify_degree(lat, budget=30_000)
+            check = verify_degree(lat)
         except BudgetExceeded:
             continue
         assert check.agree
         assert check.observed_stabilization <= check.regularity_bound
-        profile = hilbert_profile(lat, check.regularity_bound + lat.ambient_dim, budget=30_000)
+        profile = hilbert_profile(lat, check.regularity_bound + lat.ambient_dim)
         assert is_strictly_increasing_then_constant(profile.values)
         assert all(v >= 1 for v in profile.values)
         done += 1
 
 
-def test_budget_enforced():
+def test_budget_enforced(monkeypatch):
+    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 1000)
     zero = HomogeneousLattice.from_rows([], ambient_dim=4)
     # C(103, 3) monomials of degree 100; the count stops at C(103, 2), the
     # first C(103, i) past the budget
     with pytest.raises(BudgetExceeded) as exc:
-        hilbert_profile(zero, 100, budget=1000)
+        hilbert_profile(zero, 100)
     assert exc.value.needed == comb(103, 2)
     assert exc.value.budget == 1000
     assert str(exc.value) == "estimated monomial count at least 5253 exceeds budget 1000"
 
 
-def test_corank_one_budget_bounds_residue_steps(example2):
+def test_corank_one_budget_bounds_residue_steps(example2, monkeypatch):
     # at rank s - 1 the search visits at most |T| = 90 cosets, s = 3 steps
     # each, and writes d_max + 1 = 2101 values
+    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 2370)
     with pytest.raises(BudgetExceeded) as exc:
-        hilbert_profile(example2, 2100, budget=2370)
+        hilbert_profile(example2, 2100)
     assert exc.value.needed == 2371
-    assert hilbert_profile(example2, 2100, budget=2371).values[-1] == 90
+    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 2371)
+    assert hilbert_profile(example2, 2100).values[-1] == 90
     # below that the monomial count is smaller and stays the bound
+    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 200)
     with pytest.raises(BudgetExceeded) as exc:
-        hilbert_profile(example2, 20, budget=200)
+        hilbert_profile(example2, 20)
     assert exc.value.needed == comb(22, 2)
     # 10**6 + 1 output values alone exceed the budget, and the refusal
     # comes before the profile is built (as for d_max = 10**9 under the
     # default budget)
+    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 10**6)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as exc:
-            hilbert_profile(example2, 10**6, budget=10**6)
+            hilbert_profile(example2, 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -83,6 +83,8 @@ def _command(*argv):
     ("import latdeg.cli", []),
     # the import system asks the package for ``cli`` before importing it
     ("from latdeg import cli", []),
+    # the budget lives in ``errors``, which ``import latdeg`` runs anyway
+    ("import latdeg\nlatdeg.DEFAULT_BUDGET", []),
     (_command("snf", "data/example1.mat"), []),
     (_command("degree", "data/example2.mat"), []),
     (_command("emit", "data/example2.mat"), []),
@@ -90,8 +92,8 @@ def _command(*argv):
     (_command("verify", "data/example2.mat"), ["hilbert"]),
     (_command("toric", "data/torus_q5.exp"), ["applications"]),
     (_command("sandpile", "data/complete4.graph"), ["applications"]),
-], ids=["import latdeg", "import latdeg.cli", "from latdeg import cli", "snf", "degree", "emit",
-        "hilbert", "verify", "toric", "sandpile"])
+], ids=["import latdeg", "import latdeg.cli", "from latdeg import cli", "latdeg.DEFAULT_BUDGET",
+        "snf", "degree", "emit", "hilbert", "verify", "toric", "sandpile"])
 def test_only_the_layers_a_caller_uses_run(statement, ran):
     assert _layers_run(statement) == ran
 
