@@ -8,10 +8,10 @@ its own elementary counting oracle:
 * graph Laplacian row lattices, where the degree must equal the number
   of spanning trees (and the reduced-Laplacian determinant).
 
-Both enumerations are sized first by ``errors.bounded_count``, which
-stops once past the fixed ``errors.DEFAULT_BUDGET``.  Specs and reports
-are immutable records; the two specs normalise and validate their
-fields in ``__post_init__``.
+Both enumerations are sized by ``errors.bounded_count`` and refused by
+``errors.check_budget``, which read ``errors.DEFAULT_BUDGET`` when
+called.  Specs and reports are immutable records; the two specs
+normalise and validate their fields in ``__post_init__``.
 The two file parsers read through the integer-line reader of
 :mod:`latdeg.intmat` and keep only their own format's rules.
 """
@@ -24,8 +24,8 @@ from operator import index
 from typing import Sequence
 
 from ._record import Record
-from .errors import (DEFAULT_BUDGET, BudgetExceeded, Disconnected, DomainError, FormatError,
-                     NonPrimeField, bounded_count)
+from .errors import (Disconnected, DomainError, FormatError, NonPrimeField, bounded_count,
+                     check_budget)
 from .intmat import ZMatrix, _int_lines, _ints, determinant, integer_kernel
 from .lattices import HomogeneousLattice
 
@@ -154,15 +154,14 @@ def enumerate_toric_set(spec: ToricSetSpec) -> set[tuple[int, ...]]:
     """All distinct points of the set, normalized to first coordinate 1.
 
     Iterates the full parameter grid of size (q-1)^n, which must fit in
-    ``DEFAULT_BUDGET``.  The check multiplies n factors q - 1 and stops
-    once past the budget, so a large grid is refused with a lower bound.
+    ``errors.DEFAULT_BUDGET``.  The check multiplies n factors q - 1 and
+    stops past the budget, so a large grid is refused with a lower bound.
     Points are deduplicated after dividing by the first coordinate, so
     members are s-tuples over [1, q-1] starting with 1.
     """
     q, n = spec.q, spec.n
-    needed = bounded_count(itertools.repeat(q - 1, n), itertools.repeat(1), DEFAULT_BUDGET)
-    if needed > DEFAULT_BUDGET:
-        raise BudgetExceeded(needed, DEFAULT_BUDGET, what="parameter grid size at least")
+    needed = bounded_count(itertools.repeat(q - 1, n), itertools.repeat(1))
+    check_budget(needed, "parameter grid size at least")
     return {_point(spec, x) for x in itertools.product(range(1, q), repeat=n)}
 
 
@@ -302,18 +301,17 @@ def reduced_laplacian(g: GraphSpec) -> ZMatrix:
 def spanning_tree_count(g: GraphSpec) -> int:
     """Exact spanning-tree count by enumerating edge subsets of size s-1.
 
-    The C(E, s-1) subsets of the E edges must fit in ``DEFAULT_BUDGET``.
-    The check builds C(E, i) up from i = 0 and stops past the budget, so
-    a large graph is refused with a lower bound, without the cost (or the
-    digits) of the whole binomial.  A subset of s-1 edges on s vertices
-    is a spanning tree exactly when each of its edges joins two
-    components, so a union-find pass decides.
+    The C(E, s-1) subsets of the E edges must fit in
+    ``errors.DEFAULT_BUDGET``.  The check builds C(E, i) up from i = 0
+    and stops past the budget, so a large graph is refused with a lower
+    bound, without the cost (or the digits) of the whole binomial.  A
+    subset of s-1 edges on s vertices is a spanning tree exactly when
+    each of its edges joins two components, so a union-find pass decides.
     """
     s = g.vertex_count
     e = len(g.edges)
-    needed = bounded_count(range(e, max(s - 1, e - s + 1), -1), range(1, s), DEFAULT_BUDGET)
-    if needed > DEFAULT_BUDGET:
-        raise BudgetExceeded(needed, DEFAULT_BUDGET, what="edge subset count at least")
+    needed = bounded_count(range(e, max(s - 1, e - s + 1), -1), range(1, s))
+    check_budget(needed, "edge subset count at least")
     return sum(
         _joining_edges(s, subset) == s - 1 for subset in itertools.combinations(g.edges, s - 1)
     )

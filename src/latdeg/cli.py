@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import __version__, applications, hilbert
 from ._record import Record
-from .errors import DEFAULT_BUDGET, BudgetExceeded, DomainError, FormatError
+from .errors import DomainError, FormatError, check_budget
 from .intmat import ZMatrix, format_matrix, hermite_basis, parse_matrix, smith_invariants
 from .lattices import HomogeneousLattice
 
@@ -162,15 +162,13 @@ def _read_text(path: str) -> str:
 
 
 def _read_matrix(path: str) -> ZMatrix:
-    """The matrix in ``path``, refused past ``DEFAULT_BUDGET`` cells.
+    """The matrix in ``path``, refused past ``errors.DEFAULT_BUDGET`` cells.
 
     A zero-column header needs no row lines, yet sets a row count that
     every command walks, so each row counts as at least one cell.
     """
     a = parse_matrix(_read_text(path))
-    cells = a.rows * max(a.cols, 1)
-    if cells > DEFAULT_BUDGET:
-        raise BudgetExceeded(cells, DEFAULT_BUDGET, "matrix cell count")
+    check_budget(a.rows * max(a.cols, 1), "matrix cell count")
     return a
 
 

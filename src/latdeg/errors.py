@@ -1,12 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one budget.
 
 ``DomainError`` subclasses mean the inputs were outside an operation's
 domain (the CLI maps them to exit status 1).  ``FormatError`` means an
-input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``
-is the one budget of every bounded operation: the oracles' enumerations
-and the CLI's matrix reader check against it, each reading it when
-called, and none takes a budget of its own.  ``bounded_count``, out of
-``__all__``, sizes an enumeration against it.
+input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``,
+bound here only, bounds every enumeration and the CLI's matrix reader:
+``bounded_count`` and ``check_budget`` (out of ``__all__``) read it
+when called, so setting it here changes every refusal.
 """
 
 from typing import Iterable
@@ -18,21 +17,27 @@ __all__ = ["DEFAULT_BUDGET", "DomainError", "DimensionMismatch", "NonSquare", "N
 DEFAULT_BUDGET = 2_000_000
 
 
-def bounded_count(numerators: Iterable[int], denominators: Iterable[int], budget: int) -> int:
-    """The product of the fractions n_i / d_i, built up pair by pair until past ``budget``.
+def bounded_count(numerators: Iterable[int], denominators: Iterable[int], past: int = 0) -> int:
+    """The product of the n_i / d_i, built up pair by pair until past max(DEFAULT_BUDGET, past).
 
     Each partial product must be an integer no smaller than the one
-    before, so the result exceeds ``budget`` exactly when the whole
+    before, so the result exceeds that cap exactly when the whole
     product does, and is then a lower bound for it.  A power b**n is n
     factors b over 1; a binomial C(N, k) is N, N - 1, ... over 1, 2, ...,
     min(k, N - k) of each, whose partial products are C(N, i).
     """
-    count = 1
+    cap, count = max(DEFAULT_BUDGET, past), 1
     for n, d in zip(numerators, denominators):
         count = count * n // d
-        if count > budget:
+        if count > cap:
             break
     return count
+
+
+def check_budget(needed: int, what: str) -> None:
+    """Raise ``BudgetExceeded`` for ``what`` if ``needed`` exceeds ``DEFAULT_BUDGET``."""
+    if needed > DEFAULT_BUDGET:
+        raise BudgetExceeded(needed, DEFAULT_BUDGET, what)
 
 
 class DomainError(Exception):
@@ -74,10 +79,7 @@ class RankMismatch(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """An enumeration would exceed ``DEFAULT_BUDGET``.
-
-    Where the message says "at least", ``needed`` is a lower bound.
-    """
+    """A count past ``DEFAULT_BUDGET``; ``needed`` is a lower bound where it says "at least"."""
 
     def __init__(self, needed: int, budget: int, what: str = "enumeration size"):
         self.needed = needed

@@ -11,15 +11,15 @@ Cayley graph of the quotient group with those steps.  One breadth-first
 search over cosets, each named by its canonical residue under the
 lattice's Hermite basis, gives every count.  Finite differences of the
 counts then recover the degree without any reference to the Smith form.
-The search is sized first by ``errors.bounded_count`` against the
-fixed ``DEFAULT_BUDGET``.  The profile and the side-by-side check are
-immutable records.
+The search is sized and refused by ``errors.bounded_count`` and
+``errors.check_budget``, which read ``errors.DEFAULT_BUDGET`` when
+called.  The profile and the side-by-side check are immutable records.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import DEFAULT_BUDGET, BudgetExceeded, DomainError, NotStabilized, bounded_count
+from .errors import DomainError, NotStabilized, bounded_count, check_budget
 from .lattices import HomogeneousLattice
 
 __all__ = [
@@ -113,8 +113,8 @@ def hilbert_profile(lattice: HomogeneousLattice, d_max: int) -> HilbertProfile:
     exponent vector of degree d_max.  At rank s - 1 the steps stay in a
     finite group of order |T|, the torsion order, so the search takes at
     most |T| * s residue steps, plus d_max + 1 values to write out.  The
-    smaller bound must stay within ``DEFAULT_BUDGET``, read at each
-    call; |T| is read for this bound only, never for the counts.  The
+    smaller bound must stay within ``errors.DEFAULT_BUDGET``, read at
+    each call; |T| is read for this bound only, never for the counts.  The
     monomial count is built up from C(d_max + s - 1, 0) and stops once
     past the budget (at rank s - 1, past the larger of the budget and
     the residue steps), so a refusal names a lower bound for it; at rank
@@ -131,13 +131,11 @@ def hilbert_profile(lattice: HomogeneousLattice, d_max: int) -> HilbertProfile:
     corank_one = lattice.rank == s - 1
     steps = lattice.degree() * s + d_max + 1 if corank_one else 0
     top = d_max + s - 1
-    needed = bounded_count(range(top, max(d_max, s - 1), -1), range(1, s),
-                           max(DEFAULT_BUDGET, steps))
+    needed = bounded_count(range(top, max(d_max, s - 1), -1), range(1, s), steps)
     what = "estimated monomial count at least"
     if corank_one and steps < needed:
         needed, what = steps, "coset search work"
-    if needed > DEFAULT_BUDGET:
-        raise BudgetExceeded(needed, DEFAULT_BUDGET, what=what)
+    check_budget(needed, what)
     return _make_profile(_ball_sizes(lattice, d_max), window=max(3, s))
 
 

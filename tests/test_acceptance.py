@@ -34,8 +34,8 @@ from latdeg import (
     check_sandpile_degree,
     check_vanishing_degree,
     determinant,
+    errors,
     hermite_basis,
-    hilbert,
     hilbert_profile,
     oracle_degree,
     verify_degree,
@@ -64,7 +64,7 @@ def random_verified_suite(seed, count, budget):
     rng = random.Random(seed)
     suite = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hilbert, "DEFAULT_BUDGET", budget)
+        patch.setattr(errors, "DEFAULT_BUDGET", budget)
         while len(suite) < count:
             lat = random_corank1_lattice(rng, rng.choice((2, 3, 4)), 6)
             try:
@@ -227,7 +227,7 @@ def test_criterion_08_snf_algebraic_invariants_500_matrices():
 
 def test_criterion_09_monotone_then_constant_across_suite(monkeypatch):
     suite = _suite()
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 30_000)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 30_000)
     ok = True
     for lat, check in suite:
         profile = hilbert_profile(lat, check.regularity_bound + lat.ambient_dim)

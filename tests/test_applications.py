@@ -25,7 +25,7 @@ from latdeg import (
     reduced_laplacian,
     spanning_tree_count,
 )
-from latdeg import applications
+from latdeg import applications, errors
 from latdeg.applications import _is_prime
 from latdeg.errors import FormatError
 
@@ -104,7 +104,7 @@ def test_enumerate_points_are_normalized():
 
 def test_enumerate_budget(monkeypatch):
     spec = ToricSetSpec(q=7, exponents=((1, 1), (2, 0)))
-    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 10)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_toric_set(spec)
     assert exc.value.needed == 36
@@ -220,23 +220,23 @@ def test_spanning_tree_budget_bounds_subsets_before_the_count(monkeypatch):
     # K4 has C(6, 3) = 20 edge subsets of size 3; a 30-vertex path has one
     path30 = GraphSpec(30, tuple((i, i + 1) for i in range(29)))
     single = GraphSpec(1, ())
-    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 1)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 1)
     assert spanning_tree_count(path30) == 1
-    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 20)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 20)
     assert spanning_tree_count(K4) == 16
 
     def refuse(*_args):
         raise AssertionError("edge subsets walked before the budget was checked")
 
     monkeypatch.setattr(applications, "_joining_edges", refuse)
-    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 19)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 19)
     with pytest.raises(BudgetExceeded) as exc:
         spanning_tree_count(K4)
     assert (exc.value.needed, exc.value.budget) == (20, 19)
     with pytest.raises(BudgetExceeded):
         check_sandpile_degree(K4)
     # a tree has a single subset, which a budget below 1 still refuses
-    monkeypatch.setattr(applications, "DEFAULT_BUDGET", 0)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 0)
     for tree in (path30, single):
         with pytest.raises(BudgetExceeded) as exc:
             spanning_tree_count(tree)

@@ -4,7 +4,7 @@ Each of the three brute-force routes sizes its work before it starts,
 by building the count up (``errors.bounded_count``) and stopping once it
 passes the budget.  Here the exact count comes from ``math.comb`` or a
 power, and every budget around it and around each partial count is
-tried, patched in as the layer's ``DEFAULT_BUDGET``: a route must
+tried, patched in as ``errors.DEFAULT_BUDGET``: a route must
 refuse exactly when the exact count exceeds the budget, and then name
 the first partial count past it, a lower bound.
 The enumerations themselves are replaced by a stub, so an accepted
@@ -24,6 +24,7 @@ from latdeg import (
     ToricSetSpec,
     applications,
     enumerate_toric_set,
+    errors,
     hilbert,
     hilbert_profile,
     spanning_tree_count,
@@ -73,7 +74,7 @@ def test_toric_grid_refusals_match_the_exact_grid(monkeypatch):
             exact = (q - 1) ** n
             partials = [(q - 1) ** i for i in range(1, n + 1)]
             for budget in budgets_around(*partials):
-                monkeypatch.setattr(applications, "DEFAULT_BUDGET", budget)
+                monkeypatch.setattr(errors, "DEFAULT_BUDGET", budget)
                 exc = refusal(lambda: enumerate_toric_set(spec))
                 assert (exc is not None) == (exact > budget), (q, n, budget)
                 if exc is not None:
@@ -109,7 +110,7 @@ def test_monomial_and_coset_refusals_match_the_exact_counts(monkeypatch):
                 steps = lattice.degree() * s + d_max + 1 if corank_one else monomials
                 exact = min(monomials, steps)
                 for budget in budgets_around(*partials, steps):
-                    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", budget)
+                    monkeypatch.setattr(errors, "DEFAULT_BUDGET", budget)
                     exc = refusal(lambda: hilbert_profile(lattice, d_max))
                     assert (exc is not None) == (exact > budget), (lattice, d_max, budget)
                     if exc is None:
@@ -143,7 +144,7 @@ def test_edge_subset_refusals_match_the_exact_count(monkeypatch):
         exact = comb(e, s - 1)
         partials = binomial_partials(e, s - 1)
         for budget in budgets_around(*partials):
-            monkeypatch.setattr(applications, "DEFAULT_BUDGET", budget)
+            monkeypatch.setattr(errors, "DEFAULT_BUDGET", budget)
             exc = refusal(lambda: spanning_tree_count(g))
             assert (exc is not None) == (exact > budget), (s, e, budget)
             if exc is not None:

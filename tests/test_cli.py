@@ -12,9 +12,9 @@ from latdeg import (
     FormatError,
     HomogeneousLattice,
     ZMatrix,
+    errors,
     format_matrix,
     hermite_basis,
-    hilbert,
     parse_graph,
     parse_matrix,
     parse_toric_spec,
@@ -141,6 +141,21 @@ def test_matrix_past_the_cell_budget_is_refused(write, capsys, command, text):
     assert err == "error: BudgetExceeded: matrix cell count 2000001 exceeds budget 2000000\n"
 
 
+
+# at a patched budget of 12 cells, 12 are read and 13 refused; a zero-column
+# header counts each row as one cell
+@pytest.mark.parametrize("text, expected", [
+    ("3 4\n" + "1 -2 3 -4\n" * 3, "rank 1\ninvariant factors 1\n"),
+    ("1 13\n" + "1 " * 13 + "\n", None),
+    ("12 0\n", "rank 0\ninvariant factors \n"),
+    ("13 0\n", None),
+], ids=["3x4", "1x13", "12x0", "13x0"])
+def test_cell_budget_boundary(write, capsys, monkeypatch, text, expected):
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 12)
+    refused = "error: BudgetExceeded: matrix cell count 13 exceeds budget 12\n"
+    assert run(capsys, "snf", write("m.mat", text)) == (
+        (1, "", refused) if expected is None else (0, expected, ""))
+
 def test_torsion_command(write, capsys):
     code, out, _ = run(capsys, "torsion", write("m.mat", EXAMPLE2))
     assert code == 0
@@ -189,7 +204,7 @@ def test_hilbert_command(write, capsys):
 
 
 def test_hilbert_budget_error(write, capsys, monkeypatch):
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 100)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 100)
     code, _, err = run(capsys, "hilbert", write("m.mat", EXAMPLE2), "--max-degree", "500")
     assert code == 1
     assert "BudgetExceeded" in err

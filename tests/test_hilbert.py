@@ -15,7 +15,7 @@ from latdeg import (
     HomogeneousLattice,
     NotStabilized,
     RankMismatch,
-    hilbert,
+    errors,
     hilbert_profile,
     oracle_degree,
     verify_degree,
@@ -142,7 +142,7 @@ def test_residue_soundness(example2, example3):
 
 
 def test_random_suite_agreement_and_shape(monkeypatch):
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 30_000)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 30_000)
     rng = random.Random(909)
     done = 0
     while done < 30:
@@ -160,7 +160,7 @@ def test_random_suite_agreement_and_shape(monkeypatch):
 
 
 def test_budget_enforced(monkeypatch):
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 1000)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 1000)
     zero = HomogeneousLattice.from_rows([], ambient_dim=4)
     # C(103, 3) monomials of degree 100; the count stops at C(103, 2), the
     # first C(103, i) past the budget
@@ -174,21 +174,21 @@ def test_budget_enforced(monkeypatch):
 def test_corank_one_budget_bounds_residue_steps(example2, monkeypatch):
     # at rank s - 1 the search visits at most |T| = 90 cosets, s = 3 steps
     # each, and writes d_max + 1 = 2101 values
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 2370)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 2370)
     with pytest.raises(BudgetExceeded) as exc:
         hilbert_profile(example2, 2100)
     assert exc.value.needed == 2371
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 2371)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 2371)
     assert hilbert_profile(example2, 2100).values[-1] == 90
     # below that the monomial count is smaller and stays the bound
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 200)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 200)
     with pytest.raises(BudgetExceeded) as exc:
         hilbert_profile(example2, 20)
     assert exc.value.needed == comb(22, 2)
     # 10**6 + 1 output values alone exceed the budget, and the refusal
     # comes before the profile is built (as for d_max = 10**9 under the
     # default budget)
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 10**6)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 10**6)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as exc:

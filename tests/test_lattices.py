@@ -18,7 +18,7 @@ from latdeg import (
     hermite_basis,
     hilbert_profile,
 )
-from latdeg import hilbert, intmat, lattices
+from latdeg import errors, intmat, lattices
 
 EXAMPLE2_ROWS = [[18, -18, 0], [45, 0, -45], [0, 10, -10]]
 EXAMPLE1_ROWS = [
@@ -298,7 +298,7 @@ def test_volume_invariant_under_basis_change():
 
 
 def test_coordinate_permutation_invariance(monkeypatch):
-    monkeypatch.setattr(hilbert, "DEFAULT_BUDGET", 500_000)
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 500_000)
     rng = random.Random(321)
     for _ in range(25):
         s = rng.choice((2, 3, 4))

@@ -113,6 +113,40 @@ def test_package_reads_lazy_names_from_their_layer(monkeypatch):
         latdeg.no_such_name
 
 
+
+def test_every_refusal_reads_the_one_budget_whatever_loaded_first(tmp_path):
+    # load every layer that refuses, and only then set the budget
+    matrix = tmp_path / "square.mat"
+    matrix.write_text("4 4\n" + "1 -1 0 0\n" * 4)
+    code = f"""\
+import latdeg.cli
+from latdeg import applications, errors, hilbert
+hilbert.verify_degree, applications.spanning_tree_count
+errors.DEFAULT_BUDGET = 10
+text = lambda path: open(path, encoding="utf-8").read()
+for call in [
+    lambda: hilbert.verify_degree(
+        latdeg.HomogeneousLattice(latdeg.parse_matrix(text("data/example2.mat")))),
+    lambda: applications.check_vanishing_degree(
+        applications.parse_toric_spec(text("data/torus_q5.exp"))),
+    lambda: applications.check_sandpile_degree(
+        applications.parse_graph(text("data/complete4.graph"))),
+]:
+    try:
+        print(call())
+    except errors.BudgetExceeded as exc:
+        print(exc)
+print(latdeg.cli.main(["snf", {str(matrix)!r}]))
+"""
+    proc = _python("-c", code)
+    assert proc.stdout.splitlines() == [
+        "coset search work 328 exceeds budget 10",
+        "parameter grid size at least 16 exceeds budget 10",
+        "edge subset count at least 15 exceeds budget 10",
+        "1",
+    ], proc.stderr
+    assert proc.stderr == "error: BudgetExceeded: matrix cell count 16 exceeds budget 10\n"
+
 def _usage_cases():
     cases = [[], ["--help"], ["--version"], ["frobnicate", "data/example2.mat"]]
     for name in cli._COMMANDS:
