@@ -8,6 +8,13 @@ its own elementary counting oracle:
 * graph Laplacian row lattices, where the degree must equal the number
   of spanning trees (and the reduced-Laplacian determinant).
 
+A toric set is read through its exponent differences W, the rows
+d_i = (v_i - v_1) mod (q-1).  On the torus x^{v_i} / x^{v_1} = x^{d_i},
+so W gives the normalized points and the distinctness test, and the
+torsion T of the toric lattice is isomorphic to the image of x -> xW in
+(Z_{q-1})^n: its cyclic factors are (q-1)/gcd(w_j, q-1) over the
+invariant factors w_j of W.
+
 Both enumerations are sized by ``errors.bounded_count`` and refused by
 ``errors.check_budget``, which read ``errors.DEFAULT_BUDGET`` when
 called.  Specs and reports are immutable records; the two specs
@@ -19,14 +26,14 @@ The two file parsers read through the integer-line reader of
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import gcd, prod
 from operator import index
 from typing import Sequence
 
 from ._record import Record
 from .errors import (Disconnected, DomainError, FormatError, NonPrimeField, bounded_count,
                      check_budget)
-from .intmat import ZMatrix, _int_lines, _ints, determinant, integer_kernel
+from .intmat import ZMatrix, _int_lines, _ints, determinant, integer_kernel, smith_invariants
 from .lattices import HomogeneousLattice
 
 __all__ = [
@@ -141,13 +148,10 @@ def build_toric_lattice(spec: ToricSetSpec) -> HomogeneousLattice:
     return HomogeneousLattice.from_rows(gens, ambient_dim=s)
 
 
-def _point(spec: ToricSetSpec, x: Sequence[int]) -> tuple[int, ...]:
-    q = spec.q
-    coords = [
-        prod(pow(xj, vj, q) for xj, vj in zip(x, v)) % q for v in spec.exponents
-    ]
-    inv = pow(coords[0], q - 2, q)  # first coordinate is a unit
-    return tuple(c * inv % q for c in coords)
+def _exponent_differences(spec: ToricSetSpec) -> list[tuple[int, ...]]:
+    """The exponent differences W of the module docstring, one row per vector."""
+    q1, first = spec.q - 1, spec.exponents[0]
+    return [tuple((a - b) % q1 for a, b in zip(v, first)) for v in spec.exponents]
 
 
 def enumerate_toric_set(spec: ToricSetSpec) -> set[tuple[int, ...]]:
@@ -156,13 +160,15 @@ def enumerate_toric_set(spec: ToricSetSpec) -> set[tuple[int, ...]]:
     Iterates the full parameter grid of size (q-1)^n, which must fit in
     ``errors.DEFAULT_BUDGET``.  The check multiplies n factors q - 1 and
     stops past the budget, so a large grid is refused with a lower bound.
-    Points are deduplicated after dividing by the first coordinate, so
-    members are s-tuples over [1, q-1] starting with 1.
+    The point of x, divided by its first coordinate, is (1, x^{d_2}, ...,
+    x^{d_s}) over the rows of W, an s-tuple over [1, q-1].
     """
     q, n = spec.q, spec.n
     needed = bounded_count(itertools.repeat(q - 1, n), itertools.repeat(1))
     check_budget(needed, "parameter grid size at least")
-    return {_point(spec, x) for x in itertools.product(range(1, q), repeat=n)}
+    rows, mod = _exponent_differences(spec)[1:], itertools.repeat(q)
+    return {(1, *(prod(map(pow, x, d, mod)) % q for d in rows))
+            for x in itertools.product(range(1, q), repeat=n)}
 
 
 class VanishingCheck(Record):
@@ -196,26 +202,20 @@ class CiHypothesisCheck(Record):
 
 
 def ci_hypothesis_check(spec: ToricSetSpec) -> CiHypothesisCheck:
-    q1 = spec.q - 1
-    s = spec.s
-    prime = _is_prime(q1)
-    distinct = all(
-        any((vi[k] - vj[k]) % q1 != 0 for k in range(spec.n)) if q1 > 1 else False
-        for vi, vj in itertools.combinations(spec.exponents, 2)
-    )
-    torsion = build_toric_lattice(spec).torsion_structure()
-    is_power = list(torsion.cyclic_factors) == [q1] * (s - 1)
+    """The criterion's hypotheses, read off W (module docstring) with no lattice built.
+
+    As T is im(x -> xW), T is (Z_{q-1})^(s-1) iff W has s-1 invariant
+    factors, each prime to q-1.  At q = 2, W is zero: true only at s = 1.
+    """
+    q1, s, w = spec.q - 1, spec.s, _exponent_differences(spec)
+    prime, distinct = _is_prime(q1), len(set(w)) == s
+    factors = smith_invariants(ZMatrix.from_rows(w))
+    is_power = len(factors) == s - 1 and all(gcd(f, q1) == 1 for f in factors)
     applies = prime and distinct and is_power
-    predicted = None
-    if applies:
-        predicted = ", ".join(f"t{i + 1}^{q1}-t{s}^{q1}" for i in range(s - 1))
-    return CiHypothesisCheck(
-        q_minus_1_prime=prime,
-        exponents_distinct_mod=distinct,
-        torsion_is_power=is_power,
-        corollary_applies=applies,
-        predicted_generators=predicted,
-    )
+    predicted = ", ".join(f"t{i + 1}^{q1}-t{s}^{q1}" for i in range(s - 1)) if applies else None
+    return CiHypothesisCheck(q_minus_1_prime=prime, exponents_distinct_mod=distinct,
+                             torsion_is_power=is_power, corollary_applies=applies,
+                             predicted_generators=predicted)
 
 
 class GraphSpec(Record):

@@ -52,8 +52,6 @@ def emit_cas_script(lattice: HomogeneousLattice, fmt: str = "macaulay2") -> str:
 
 
 def _monomial(parts: list[tuple[int, int]]) -> str:
-    if not parts:
-        return "1"
     return "*".join(f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}" for i, e in parts)
 
 

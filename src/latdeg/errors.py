@@ -2,17 +2,17 @@
 
 ``DomainError`` subclasses mean the inputs were outside an operation's
 domain (the CLI maps them to exit status 1).  ``FormatError`` means an
-input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``,
-bound here only, bounds every enumeration and the CLI's matrix reader:
-``bounded_count`` and ``check_budget`` (out of ``__all__``) read it
-when called, so setting it here changes every refusal.
+input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``
+bounds every enumeration and the CLI's matrix reader.  It is bound here
+only, out of ``__all__`` like ``bounded_count`` and ``check_budget``,
+which read it when called: the package holds no copy, and setting
+``latdeg.errors.DEFAULT_BUDGET`` changes every refusal.
 """
 
 from typing import Iterable
 
-__all__ = ["DEFAULT_BUDGET", "DomainError", "DimensionMismatch", "NonSquare", "NotHomogeneous",
-           "RankMismatch", "BudgetExceeded", "NotStabilized", "Disconnected", "NonPrimeField",
-           "FormatError"]
+__all__ = ["DomainError", "DimensionMismatch", "NonSquare", "NotHomogeneous", "RankMismatch",
+           "BudgetExceeded", "NotStabilized", "Disconnected", "NonPrimeField", "FormatError"]
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -81,7 +81,7 @@ class RankMismatch(DomainError):
 class BudgetExceeded(DomainError):
     """A count past ``DEFAULT_BUDGET``; ``needed`` is a lower bound where it says "at least"."""
 
-    def __init__(self, needed: int, budget: int, what: str = "enumeration size"):
+    def __init__(self, needed: int, budget: int, what: str):
         self.needed = needed
         self.budget = budget
         super().__init__(f"{what} {needed} exceeds budget {budget}")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from math import comb
@@ -163,13 +164,35 @@ def test_ci_hypothesis_examples():
     assert not ci_hypothesis_check(dup).exponents_distinct_mod
 
 
-def test_ci_torsion_is_power_matches_cyclic_factors():
+def test_ci_hypotheses_match_the_lattice_and_pairwise_references():
+    # references: the toric lattice's torsion, and every pair of vectors compared mod q - 1
     rng = random.Random(9)
-    for _ in range(20):
-        spec = random_toric_spec(rng)
-        report = ci_hypothesis_check(spec)
+    seen = {"q=2": 0, "s=1": 0, "n<s-1": 0, "repeated": 0, "power": 0, "applies": 0}
+    for _ in range(2400):
+        q = rng.choice((2, 3, 5, 7, 11, 13))
+        s, n = rng.randint(1, 5), rng.randint(1, 4)
+        top = rng.choice((1, q, 3 * q))
+        exps = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(s)]
+        if s > 1 and rng.random() < 0.2:
+            # the same vector again, shifted by a multiple of q - 1
+            exps[rng.randrange(1, s)] = tuple(e + (q - 1) * rng.randint(0, 2) for e in exps[0])
+        spec = ToricSetSpec(q=q, exponents=exps)
+        q1 = q - 1
+        distinct = all(any((a - b) % q1 for a, b in zip(u, v))
+                       for u, v in itertools.combinations(exps, 2))
         factors = list(build_toric_lattice(spec).torsion_structure().cyclic_factors)
-        assert report.torsion_is_power == (factors == [spec.q - 1] * (spec.s - 1))
+        power = factors == [q1] * (s - 1)
+        report = ci_hypothesis_check(spec)
+        assert report.exponents_distinct_mod == distinct, spec
+        assert report.torsion_is_power == power, spec
+        assert report.corollary_applies == (_is_prime(q1) and distinct and power), spec
+        seen["q=2"] += q == 2
+        seen["s=1"] += s == 1
+        seen["n<s-1"] += n < s - 1
+        seen["repeated"] += len(set(exps)) < s
+        seen["power"] += power
+        seen["applies"] += report.corollary_applies
+    assert min(seen.values()) >= 20, seen
 
 
 def test_toric_spec_validation():
@@ -183,6 +206,8 @@ def test_toric_spec_validation():
         ToricSetSpec(q=3, exponents=((1, 2), (1,)))
     with pytest.raises(ValueError):
         ToricSetSpec(q=3, exponents=((-1,),))
+    with pytest.raises(ValueError, match="at least one entry"):
+        ToricSetSpec(q=5, exponents=((), ()))
 
 
 def test_laplacian_examples():

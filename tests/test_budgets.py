@@ -67,7 +67,7 @@ def binomial_partials(n, k):
 
 
 def test_toric_grid_refusals_match_the_exact_grid(monkeypatch):
-    monkeypatch.setattr(applications, "_point", enumerated)
+    monkeypatch.setattr(applications, "_exponent_differences", enumerated)
     for q in SMALL_PRIMES:
         for n in range(1, 6):
             spec = ToricSetSpec(q=q, exponents=((1,) * n, (0,) * n))

@@ -12,6 +12,7 @@ from latdeg import (
     FormatError,
     HomogeneousLattice,
     ZMatrix,
+    applications,
     errors,
     format_matrix,
     hermite_basis,
@@ -245,6 +246,21 @@ def test_toric_command(write, capsys):
     assert payload["ci"]["q_minus_1_prime"] is True
 
 
+def test_toric_command_builds_one_toric_lattice(capsys, monkeypatch):
+    built = []
+    build = applications.build_toric_lattice
+
+    def counting(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(applications, "build_toric_lattice", counting)
+    code, out, _ = run(capsys, "toric", str(DATA / "torus_q5.exp"))
+    assert code == 0
+    assert "agree true" in out
+    assert len(built) == 1
+
+
 def test_sandpile_command(write, capsys):
     text = "4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
     code, out, _ = run(capsys, "sandpile", write("g.graph", text))
@@ -291,6 +307,10 @@ def test_emit_maple(write, capsys):
     assert "with(LinearAlgebra):" in out
     assert "SmithForm(A);" in out
     assert "A:=<1001,-500,-501,0,0; 0,3500,-3500,0,0;" in out
+    # no generator rows: an empty matrix of the ambient width
+    code, out, _ = run(capsys, "emit", write("m.mat", "0 3\n"), "--format", "maple")
+    assert code == 0
+    assert out == "with(LinearAlgebra):\nA:=Matrix(0,3):\nSmithForm(A);\n"
 
 
 def test_emit_binomial_decomposition():

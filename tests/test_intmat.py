@@ -376,5 +376,11 @@ def test_zmatrix_validation():
         ZMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         ZMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        ZMatrix(-1, 2, ())
+    with pytest.raises(ValueError, match="rows have 2 entries, expected 3"):
+        ZMatrix.from_rows([[1, 2]], cols=3)
+    assert ZMatrix.from_rows([]) == ZMatrix(0, 0, ())
+    assert (ZMatrix(0, 0, ()) == object()) is False
     with pytest.raises(IndexError):
         identity_matrix(2)[2, 0]

@@ -84,7 +84,7 @@ def _command(*argv):
     # the import system asks the package for ``cli`` before importing it
     ("from latdeg import cli", []),
     # the budget lives in ``errors``, which ``import latdeg`` runs anyway
-    ("import latdeg\nlatdeg.DEFAULT_BUDGET", []),
+    ("import latdeg\nlatdeg.errors.DEFAULT_BUDGET", []),
     (_command("snf", "data/example1.mat"), []),
     (_command("degree", "data/example2.mat"), []),
     (_command("emit", "data/example2.mat"), []),
@@ -92,8 +92,9 @@ def _command(*argv):
     (_command("verify", "data/example2.mat"), ["hilbert"]),
     (_command("toric", "data/torus_q5.exp"), ["applications"]),
     (_command("sandpile", "data/complete4.graph"), ["applications"]),
-], ids=["import latdeg", "import latdeg.cli", "from latdeg import cli", "latdeg.DEFAULT_BUDGET",
-        "snf", "degree", "emit", "hilbert", "verify", "toric", "sandpile"])
+], ids=["import latdeg", "import latdeg.cli", "from latdeg import cli",
+        "latdeg.errors.DEFAULT_BUDGET", "snf", "degree", "emit", "hilbert", "verify", "toric",
+        "sandpile"])
 def test_only_the_layers_a_caller_uses_run(statement, ran):
     assert _layers_run(statement) == ran
 
@@ -112,6 +113,16 @@ def test_package_reads_lazy_names_from_their_layer(monkeypatch):
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         latdeg.no_such_name
 
+
+def test_the_budget_has_one_name():
+    import latdeg
+
+    # a package copy would be a second binding that no refusal reads
+    assert not hasattr(latdeg, "DEFAULT_BUDGET")
+    assert "DEFAULT_BUDGET" not in latdeg.__all__
+    assert latdeg.errors.DEFAULT_BUDGET == 2_000_000
+    with pytest.raises(TypeError):
+        latdeg.BudgetExceeded(3, 2)
 
 
 def test_every_refusal_reads_the_one_budget_whatever_loaded_first(tmp_path):
