@@ -2,11 +2,12 @@
 
 Each exponent vector of total degree d is labeled by its coset in Z^s
 modulo the lattice; the number of distinct labels is the dimension of
-the degree-d piece of the quotient ring.  Finite differences of those
-counts recover the degree with no normal form in sight.
+the degree-d piece of the quotient ring.  At rank s-1 the counts stop
+growing exactly when the search has met every coset of the finite
+group, so the last count is the degree, with no normal form in sight.
 """
 
-from latdeg import HomogeneousLattice, hilbert_profile, oracle_degree, verify_degree
+from latdeg import HomogeneousLattice, hilbert_profile, verify_degree
 
 lat = HomogeneousLattice.from_rows([[18, -18, 0], [45, 0, -45], [0, 10, -10]])
 bound = lat.regularity_upper_bound()
@@ -30,7 +31,7 @@ conic = HomogeneousLattice.from_rows([[-1, 2, -1]])
 profile = hilbert_profile(conic, 12)
 print("rank-1 lattice: H =", profile.values)
 print("first differences are constant, so the counting degree is",
-      oracle_degree(profile), "and the dimension estimate is",
+      profile.degree_estimate, "and the dimension estimate is",
       profile.krull_dim_estimate)
 print("...but the torsion order is", conic.torsion_structure().order,
       "- the degree formula really does need rank s-1")

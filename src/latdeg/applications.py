@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 from math import gcd, prod
 from operator import index
-from typing import Sequence
 
 from ._record import Record
 from .errors import (Disconnected, DomainError, FormatError, NonPrimeField, bounded_count,
@@ -204,13 +203,14 @@ class CiHypothesisCheck(Record):
 def ci_hypothesis_check(spec: ToricSetSpec) -> CiHypothesisCheck:
     """The criterion's hypotheses, read off W (module docstring) with no lattice built.
 
-    As T is im(x -> xW), T is (Z_{q-1})^(s-1) iff W has s-1 invariant
-    factors, each prime to q-1.  At q = 2, W is zero: true only at s = 1.
+    T = im(x -> xW) is killed by q-1 and generated by the rows of W after
+    the first, which is zero, so it is (Z_{q-1})^(s-1) iff its order is
+    (q-1)^(s-1).  At q = 2 both are trivial.
     """
     q1, s, w = spec.q - 1, spec.s, _exponent_differences(spec)
     prime, distinct = _is_prime(q1), len(set(w)) == s
     factors = smith_invariants(ZMatrix.from_rows(w))
-    is_power = len(factors) == s - 1 and all(gcd(f, q1) == 1 for f in factors)
+    is_power = prod(q1 // gcd(f, q1) for f in factors) == q1 ** (s - 1)
     applies = prime and distinct and is_power
     predicted = ", ".join(f"t{i + 1}^{q1}-t{s}^{q1}" for i in range(s - 1)) if applies else None
     return CiHypothesisCheck(q_minus_1_prime=prime, exponents_distinct_mod=distinct,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
 
 from . import __version__, applications, hilbert
 from ._record import Record

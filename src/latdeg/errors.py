@@ -3,16 +3,17 @@
 ``DomainError`` subclasses mean the inputs were outside an operation's
 domain (the CLI maps them to exit status 1).  ``FormatError`` means an
 input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``
-bounds every enumeration and the CLI's matrix reader.  It is bound here
+bounds every enumeration (cosets, toric grid points, edge subsets) and
+the CLI's matrix reader.  It is bound here
 only, out of ``__all__`` like ``bounded_count`` and ``check_budget``,
 which read it when called: the package holds no copy, and setting
 ``latdeg.errors.DEFAULT_BUDGET`` changes every refusal.
 """
 
-from typing import Iterable
+from __future__ import annotations
 
 __all__ = ["DomainError", "DimensionMismatch", "NonSquare", "NotHomogeneous", "RankMismatch",
-           "BudgetExceeded", "NotStabilized", "Disconnected", "NonPrimeField", "FormatError"]
+           "BudgetExceeded", "Disconnected", "NonPrimeField", "FormatError"]
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -85,17 +86,6 @@ class BudgetExceeded(DomainError):
         self.needed = needed
         self.budget = budget
         super().__init__(f"{what} {needed} exceeds budget {budget}")
-
-
-class NotStabilized(DomainError):
-    """No finite-difference order settled within the computed profile."""
-
-    def __init__(self, d_max: int):
-        self.d_max = d_max
-        super().__init__(
-            f"no finite-difference order is constant over the trailing window; "
-            f"d_max={d_max} is too small to certify a degree"
-        )
 
 
 class Disconnected(DomainError):

@@ -9,8 +9,12 @@ lies in the coset of x - d*e_s, a sum of at most d steps e_i - e_s
 (i < s), so the count is the size of the radius-d ball around 0 in the
 Cayley graph of the quotient group with those steps.  One breadth-first
 search over cosets, each named by its canonical residue under the
-lattice's Hermite basis, gives every count.  Finite differences of the
-counts then recover the degree without any reference to the Smith form.
+lattice's Hermite basis, gives every count.  At rank s - 1 the steps
+generate the finite group T, and a set that holds 0 and is closed under
+them is T: once a radius adds no coset, the ball's size is the degree
+and its radius the regularity index, with no reference to the Smith
+form.  Below rank s - 1 the search never ends, and finite differences
+of the counts estimate the Hilbert polynomial's leading term.
 The search is sized and refused by ``errors.bounded_count`` and
 ``errors.check_budget``, which read ``errors.DEFAULT_BUDGET`` when
 called.  The profile and the side-by-side check are immutable records.
@@ -19,13 +23,12 @@ called.  The profile and the side-by-side check are immutable records.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import DomainError, NotStabilized, bounded_count, check_budget
+from .errors import DomainError, bounded_count, check_budget
 from .lattices import HomogeneousLattice
 
 __all__ = [
     "HilbertProfile",
     "hilbert_profile",
-    "oracle_degree",
     "DegreeCheck",
     "verify_degree",
 ]
@@ -78,17 +81,18 @@ def _make_profile(values: tuple[int, ...], window: int) -> HilbertProfile:
 
 
 def _ball_sizes(lattice: HomogeneousLattice, d_max: int) -> tuple[int, ...]:
-    """Sizes of the balls of radius 0..d_max around the coset of 0.
+    """Sizes of the balls of radius 0..r around the coset of 0.
 
     Radius d adds only neighbours of the cosets first reached at radius
-    d - 1; once a radius adds nothing, every larger ball is the same.
+    d - 1.  r is d_max, or the last radius that added a coset if that
+    comes first: every larger ball is then the same.
     """
     s = lattice.ambient_dim
     origin = (0,) * s
     seen = {origin}
     frontier = [origin]
     sizes = [1]
-    while frontier and len(sizes) <= d_max:
+    while len(sizes) <= d_max:
         reached = []
         for x in frontier:
             for i in range(s - 1):
@@ -99,9 +103,11 @@ def _ball_sizes(lattice: HomogeneousLattice, d_max: int) -> tuple[int, ...]:
                 if y not in seen:
                     seen.add(y)
                     reached.append(y)
+        if not reached:
+            break
         frontier = reached
         sizes.append(len(seen))
-    return tuple(sizes) + (len(seen),) * (d_max + 1 - len(sizes))
+    return tuple(sizes)
 
 
 def hilbert_profile(lattice: HomogeneousLattice, d_max: int) -> HilbertProfile:
@@ -136,41 +142,42 @@ def hilbert_profile(lattice: HomogeneousLattice, d_max: int) -> HilbertProfile:
     if corank_one and steps < needed:
         needed, what = steps, "coset search work"
     check_budget(needed, what)
-    return _make_profile(_ball_sizes(lattice, d_max), window=max(3, s))
-
-
-def oracle_degree(profile: HilbertProfile) -> int:
-    """The certified constant finite difference, or NotStabilized."""
-    if profile.degree_estimate is None:
-        raise NotStabilized(len(profile.values) - 1)
-    return profile.degree_estimate
+    sizes = _ball_sizes(lattice, d_max)
+    return _make_profile(sizes + sizes[-1:] * (d_max + 1 - len(sizes)), window=max(3, s))
 
 
 class DegreeCheck(Record):
-    """Side-by-side result of the invariant-factor formula and the counter."""
+    """Side-by-side result of the invariant-factor formula and the counter.
+
+    ``oracle_degree`` is the order of the group the search found and
+    ``observed_stabilization`` the certified regularity index, the first
+    radius at which the ball is the whole group.  ``regularity_bound`` is
+    ``regularity_upper_bound()``, reported beside it.
+    """
 
     snf_degree: int
     oracle_degree: int
     regularity_bound: int
-    observed_stabilization: int | None
+    observed_stabilization: int
     agree: bool
 
 
 def verify_degree(lattice: HomogeneousLattice) -> DegreeCheck:
-    """Run the coset counter far enough to certify the degree and compare.
+    """Search the cosets until a radius adds none, and compare with the Smith degree.
 
-    Requires rank s-1.  The counter runs to the proven constancy bound
-    plus s, so its window certificate always lands; ``agree`` reports
-    whether both routes produced the same number.
+    Requires rank s-1 (``RankMismatch`` otherwise); the ball is then T
+    (module docstring).  The search takes at most |T| * s residue steps,
+    which must stay within ``errors.DEFAULT_BUDGET``, checked before the
+    first step.  Its cap of radius |T| never cuts it short: a ball that
+    still grew there would hold more than |T| cosets.
     """
     snf_deg = lattice.degree()
-    bound = lattice.regularity_upper_bound()
-    profile = hilbert_profile(lattice, bound + lattice.ambient_dim)
-    found = oracle_degree(profile)
+    check_budget(snf_deg * lattice.ambient_dim, "coset search work")
+    sizes = _ball_sizes(lattice, snf_deg)
     return DegreeCheck(
         snf_degree=snf_deg,
-        oracle_degree=found,
-        regularity_bound=bound,
-        observed_stabilization=profile.stabilization_degree,
-        agree=snf_deg == found,
+        oracle_degree=sizes[-1],
+        regularity_bound=lattice.regularity_upper_bound(),
+        observed_stabilization=len(sizes) - 1,
+        agree=snf_deg == sizes[-1],
     )

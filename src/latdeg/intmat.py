@@ -30,7 +30,6 @@ import re
 import sys
 from math import gcd
 from operator import index
-from typing import Iterable, Sequence
 
 from .errors import FormatError, NonSquare
 

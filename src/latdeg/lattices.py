@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from math import gcd, prod
 from operator import index
-from typing import Sequence
 
 from ._record import Record
 from .errors import DimensionMismatch, DomainError, NotHomogeneous, RankMismatch

@@ -37,7 +37,6 @@ from latdeg import (
     errors,
     hermite_basis,
     hilbert_profile,
-    oracle_degree,
     verify_degree,
 )
 from latdeg.cli import emit_cas_script
@@ -125,7 +124,7 @@ def test_criterion_03_counterexample_reproduced():
     diffs = [b - a for a, b in zip(profile.values, profile.values[1:])]
     ok = (
         raised
-        and oracle_degree(profile) == 2
+        and profile.degree_estimate == 2
         and all(d == 2 for d in diffs)
         and lat.torsion_structure().order == 1
     )

@@ -164,6 +164,18 @@ def test_ci_hypothesis_examples():
     assert not ci_hypothesis_check(dup).exponents_distinct_mod
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_ci_torsion_is_power_at_q2(s):
+    # T is trivial, so it is (Z_1)^(s-1); q - 1 = 1 is not prime, so no criterion applies
+    spec = ToricSetSpec(q=2, exponents=[[i] for i in range(s)])
+    assert build_toric_lattice(spec).torsion_structure().order == 1
+    report = ci_hypothesis_check(spec)
+    assert report.torsion_is_power
+    assert not report.q_minus_1_prime
+    assert not report.corollary_applies
+    assert report.predicted_generators is None
+
+
 def test_ci_hypotheses_match_the_lattice_and_pairwise_references():
     # references: the toric lattice's torsion, and every pair of vectors compared mod q - 1
     rng = random.Random(9)
@@ -181,7 +193,8 @@ def test_ci_hypotheses_match_the_lattice_and_pairwise_references():
         distinct = all(any((a - b) % q1 for a, b in zip(u, v))
                        for u, v in itertools.combinations(exps, 2))
         factors = list(build_toric_lattice(spec).torsion_structure().cyclic_factors)
-        power = factors == [q1] * (s - 1)
+        # (Z_{q-1})^(s-1) without unit factors: trivial at q = 2
+        power = factors == ([q1] * (s - 1) if q1 > 1 else [])
         report = ci_hypothesis_check(spec)
         assert report.exponents_distinct_mod == distinct, spec
         assert report.torsion_is_power == power, spec

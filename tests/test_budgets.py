@@ -6,7 +6,8 @@ passes the budget.  Here the exact count comes from ``math.comb`` or a
 power, and every budget around it and around each partial count is
 tried, patched in as ``errors.DEFAULT_BUDGET``: a route must
 refuse exactly when the exact count exceeds the budget, and then name
-the first partial count past it, a lower bound.
+the first partial count past it, a lower bound.  ``verify`` searches
+the whole group, and names its |T| * s residue steps exactly.
 The enumerations themselves are replaced by a stub, so an accepted
 size costs nothing.
 """
@@ -28,6 +29,7 @@ from latdeg import (
     hilbert,
     hilbert_profile,
     spanning_tree_count,
+    verify_degree,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -124,6 +126,22 @@ def test_monomial_and_coset_refusals_match_the_exact_counts(monkeypatch):
                         cap = max(budget, steps) if corank_one else budget
                         assert exc.needed == first_past(partials, cap) <= monomials
                         assert str(exc).startswith("estimated monomial count at least ")
+
+
+def test_verify_refuses_past_the_coset_bound_before_searching(monkeypatch):
+    # verify has no radius to size: it searches the whole group, |T| * s residue steps
+    monkeypatch.setattr(hilbert, "_ball_sizes", enumerated)
+    rng = random.Random(31)
+    for s in range(1, 7):
+        for _ in range(4):
+            lattice = list(lattices_of_every_rank(rng, s))[-1]
+            steps = lattice.degree() * s
+            for budget in budgets_around(steps):
+                monkeypatch.setattr(errors, "DEFAULT_BUDGET", budget)
+                exc = refusal(lambda: verify_degree(lattice))
+                assert (exc is not None) == (steps > budget), (lattice, budget)
+                if exc is not None:
+                    assert str(exc) == f"coset search work {steps} exceeds budget {budget}"
 
 
 def connected_graph(rng, s, e):

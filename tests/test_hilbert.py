@@ -4,6 +4,8 @@ import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     is_strictly_increasing_then_constant,
@@ -13,11 +15,11 @@ from conftest import (
 from latdeg import (
     BudgetExceeded,
     HomogeneousLattice,
-    NotStabilized,
     RankMismatch,
+    ToricSetSpec,
+    build_toric_lattice,
     errors,
     hilbert_profile,
-    oracle_degree,
     verify_degree,
 )
 
@@ -69,26 +71,25 @@ def test_profile_h0_is_one():
         assert hilbert_profile(lat, 0).values == (1,)
 
 
-def test_oracle_degree_cases(example2):
+def test_degree_estimate_cases(example2):
     profile = hilbert_profile(HomogeneousLattice.from_rows([[-1, 2, -1]]), 6)
     assert profile.values == (1, 3, 5, 7, 9, 11, 13)
-    assert oracle_degree(profile) == 2
+    assert profile.degree_estimate == 2
 
     bound = example2.regularity_upper_bound()
-    assert oracle_degree(hilbert_profile(example2, bound + 3)) == 90
+    assert hilbert_profile(example2, bound + 3).degree_estimate == 90
 
     constant = hilbert_profile(HomogeneousLattice.from_rows([[1, -1]]), 3)
     assert constant.values == (1, 1, 1, 1)
-    assert oracle_degree(constant) == 1
+    assert constant.degree_estimate == 1
 
 
-def test_oracle_degree_not_stabilized():
+def test_degree_estimate_none_while_no_order_settles():
     # window is max(3, s) = 3; two degrees cannot certify anything
     zero3 = HomogeneousLattice.from_rows([], ambient_dim=3)
     profile = hilbert_profile(zero3, 2)
     assert profile.degree_estimate is None
-    with pytest.raises(NotStabilized):
-        oracle_degree(profile)
+    assert profile.krull_dim_estimate is None
 
 
 def test_verify_degree_examples(example2):
@@ -117,6 +118,51 @@ def test_verify_degree_150_stabilizes_at_12():
     assert check.observed_stabilization == 12
 
 
+@st.composite
+def corank_one_lattices(draw, max_s=4, bound=4):
+    """A lattice of rank s - 1 in Z^s: s - 1 rows of entries in [-bound, bound], summing to 0."""
+    s = draw(st.integers(1, max_s))
+    rows = []
+    for _ in range(s - 1):
+        head = draw(st.lists(st.integers(-bound, bound), min_size=s - 1, max_size=s - 1))
+        rows.append(head + [-sum(head)])
+    lattice = HomogeneousLattice.from_rows(rows, ambient_dim=s)
+    if lattice.rank < s - 1:
+        # the steps e_i - e_s have rank s - 1; scaled, they keep the group small
+        k = draw(st.integers(1, 5))
+        lattice = HomogeneousLattice.from_rows(
+            [[k * (c == i) - k * (c == s - 1) for c in range(s)] for i in range(s - 1)],
+            ambient_dim=s)
+    return lattice
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(corank_one_lattices())
+@example(HomogeneousLattice.from_rows([], ambient_dim=1))
+@example(HomogeneousLattice.from_rows([[18, -18, 0], [45, 0, -45], [0, 10, -10]]))
+def test_emptied_frontier_is_the_first_full_degree(lattice):
+    # the profile runs to the proven bound, so it reaches the degree on its own
+    check = verify_degree(lattice)
+    degree = lattice.degree()
+    assert check.oracle_degree == check.snf_degree == degree
+    assert check.agree
+    values = hilbert_profile(lattice, check.regularity_bound).values
+    assert check.observed_stabilization == values.index(degree)
+    assert check.observed_stabilization <= check.regularity_bound
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_projective_torus_regularity_index(q, s):
+    # s - 1 forms of degree q - 1 cut out the torus: a complete
+    # intersection, whose h-polynomial has degree (s - 1)(q - 2)
+    torus = ToricSetSpec(q=q, exponents=[[int(i == j) for j in range(s)] for i in range(s)])
+    check = verify_degree(build_toric_lattice(torus))
+    assert check.agree
+    assert check.oracle_degree == (q - 1) ** (s - 1)
+    assert check.observed_stabilization == (s - 1) * (q - 2)
+
+
 def test_verify_degree_requires_corank_one(example3):
     with pytest.raises(RankMismatch):
         verify_degree(example3)
@@ -124,7 +170,7 @@ def test_verify_degree_requires_corank_one(example3):
 
 def test_counterexample_fidelity(example3):
     # rank 1 in Z^3: the counting degree is 2 but the torsion order is 1
-    assert oracle_degree(hilbert_profile(example3, 12)) == 2
+    assert hilbert_profile(example3, 12).degree_estimate == 2
     assert example3.torsion_structure().order == 1
 
 

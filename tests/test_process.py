@@ -151,7 +151,7 @@ print(latdeg.cli.main(["snf", {str(matrix)!r}]))
 """
     proc = _python("-c", code)
     assert proc.stdout.splitlines() == [
-        "coset search work 328 exceeds budget 10",
+        "coset search work 270 exceeds budget 10",
         "parameter grid size at least 16 exceeds budget 10",
         "edge subset count at least 15 exceeds budget 10",
         "1",
