@@ -4,10 +4,10 @@
 domain (the CLI maps them to exit status 1).  ``FormatError`` means an
 input file could not be parsed (exit status 2).  ``DEFAULT_BUDGET``
 bounds every enumeration (cosets, toric grid points, edge subsets) and
-the CLI's matrix reader.  It is bound here
-only, out of ``__all__`` like ``bounded_count`` and ``check_budget``,
-which read it when called: the package holds no copy, and setting
-``latdeg.errors.DEFAULT_BUDGET`` changes every refusal.
+the CLI's matrix reader.  It is bound here only, out of ``__all__``
+like ``bounded_count`` and ``check_budget``, which read it when called:
+the package holds no copy, and setting ``latdeg.errors.DEFAULT_BUDGET``
+changes every refusal.
 """
 
 from __future__ import annotations

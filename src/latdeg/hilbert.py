@@ -10,11 +10,9 @@ lies in the coset of x - d*e_s, a sum of at most d steps e_i - e_s
 Cayley graph of the quotient group with those steps.  One breadth-first
 search over cosets, each named by its canonical residue under the
 lattice's Hermite basis, gives every count.  At rank s - 1 the steps
-generate the finite group T, and a set that holds 0 and is closed under
-them is T: once a radius adds no coset, the ball's size is the degree
-and its radius the regularity index, with no reference to the Smith
-form.  Below rank s - 1 the search never ends, and finite differences
-of the counts estimate the Hilbert polynomial's leading term.
+generate the finite group T, so once a radius adds no coset the ball is
+T: its size is the degree and its radius the regularity index, with no
+reference to the Smith form.  Finite differences estimate the degree.
 The search is sized and refused by ``errors.bounded_count`` and
 ``errors.check_budget``, which read ``errors.DEFAULT_BUDGET`` when
 called.  The profile and the side-by-side check are immutable records.
@@ -81,11 +79,10 @@ def _make_profile(values: tuple[int, ...], window: int) -> HilbertProfile:
 
 
 def _ball_sizes(lattice: HomogeneousLattice, d_max: int) -> tuple[int, ...]:
-    """Sizes of the balls of radius 0..r around the coset of 0.
+    """Sizes of the balls of radius 0..r around the coset of 0, for r <= d_max.
 
     Radius d adds only neighbours of the cosets first reached at radius
-    d - 1.  r is d_max, or the last radius that added a coset if that
-    comes first: every larger ball is then the same.
+    d - 1; once a radius adds nothing, the sizes stop: every larger ball is the same.
     """
     s = lattice.ambient_dim
     origin = (0,) * s
@@ -147,13 +144,7 @@ def hilbert_profile(lattice: HomogeneousLattice, d_max: int) -> HilbertProfile:
 
 
 class DegreeCheck(Record):
-    """Side-by-side result of the invariant-factor formula and the counter.
-
-    ``oracle_degree`` is the order of the group the search found and
-    ``observed_stabilization`` the certified regularity index, the first
-    radius at which the ball is the whole group.  ``regularity_bound`` is
-    ``regularity_upper_bound()``, reported beside it.
-    """
+    """The Smith degree beside the order and regularity index of the group the search found."""
 
     snf_degree: int
     oracle_degree: int
@@ -165,11 +156,9 @@ class DegreeCheck(Record):
 def verify_degree(lattice: HomogeneousLattice) -> DegreeCheck:
     """Search the cosets until a radius adds none, and compare with the Smith degree.
 
-    Requires rank s-1 (``RankMismatch`` otherwise); the ball is then T
-    (module docstring).  The search takes at most |T| * s residue steps,
-    which must stay within ``errors.DEFAULT_BUDGET``, checked before the
-    first step.  Its cap of radius |T| never cuts it short: a ball that
-    still grew there would hold more than |T| cosets.
+    Requires rank s-1; the ball is then T.  Its |T| * s residue steps are
+    checked against ``errors.DEFAULT_BUDGET`` first.  The cap, radius |T|,
+    never cuts the search short: the ball would hold more than |T| cosets.
     """
     snf_deg = lattice.degree()
     check_budget(snf_deg * lattice.ambient_dim, "coset search work")
